@@ -165,7 +165,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         # for the mean-field model it is a quadrature refinement
         opt_members = int(scn.solver.get("optimize_members", grid.size))
         if opt_members != grid.size:
-            opt_grid = scn.build_grid_with(opt_members)
+            opt_grid = scn.build_grid(opt_members)
             opt_x0 = scn.initial_state(opt_grid)
         else:
             opt_grid, opt_x0 = grid, x0
@@ -300,7 +300,8 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
     else:
         target = scn.resolve_measure(scn.target, "target")
         clipped = np.clip(final, 0.0, None)
-        payload["clipped_negative_mass"] = float(np.sum(final - clipped) * -1)
+        # on the scale of m_0 = sum_j w_j x_j, independent of the member count
+        payload["clipped_negative_mass"] = float((clipped - final) @ grid.weights)
         inc = np.concatenate(
             [[0.0], np.cumsum((clipped[1:] + clipped[:-1]) / 2 * np.diff(grid.nodes))])
         total = inc[-1]

@@ -147,9 +147,6 @@ class Trajectory:
     states: np.ndarray
     grid: ParameterGrid
 
-    def final_state(self) -> EnsembleState:
-        return EnsembleState(float(self.times[-1]), self.states[-1].copy())
-
 
 def make_uniform_grid(n: int, lo: float, hi: float) -> ParameterGrid:
     """Midpoint-rule discretization of [lo, hi] with equal weights 1/n."""
@@ -169,18 +166,45 @@ def mean_field(state, grid: ParameterGrid):
     return min(float(np.abs(z)), 1.0), float(np.angle(z))
 
 
-def _input_profile(model: LinearScalar, nodes: np.ndarray) -> np.ndarray:
-    # rows are beta^(i-1) for input channels i = 1..p
-    return nodes[None, :] ** np.arange(model.n_inputs)[:, None]
-
-
-def _derivative(model, x, grid, u, profile=None):
+def _drive(model, grid: ParameterGrid, u) -> np.ndarray:
+    """Input term of one control segment, batched over leading axes of ``u``:
+    ``u @ profile`` with rows beta^(i-1) for the linear family, u_1 for
+    Kuramoto."""
     if isinstance(model, LinearScalar):
-        if profile is None:
-            profile = _input_profile(model, grid.nodes)
-        return grid.nodes * x + u @ profile
-    r, psi = mean_field(x, grid)
-    return grid.nodes + model.coupling * r * np.sin(psi - x) + u[0] * np.sin(x)
+        return u @ grid.nodes[None, :] ** np.arange(model.n_inputs)[:, None]
+    return u[..., :1]
+
+
+def _field(model, grid: ParameterGrid):
+    """Right-hand side f(x, drive) of the model, batched over leading axes of x."""
+    nodes = grid.nodes
+    if isinstance(model, LinearScalar):
+        return lambda x, drive: nodes * x + drive
+    K, w = model.coupling, grid.weights
+
+    def kuramoto(x, drive):
+        z = np.sum(w * np.exp(1j * x), axis=-1, keepdims=True)
+        r, psi = np.minimum(np.abs(z), 1.0), np.angle(z)
+        return nodes + K * r * np.sin(psi - x) + drive * np.sin(x)
+
+    return kuramoto
+
+
+def _rk4_steps(f, x, drives, per: int, dt: float, wrap: bool):
+    """Yield the state after every classical RK4 step: ``per`` steps under
+    each drive of ``drives`` in turn, phases wrapped to [0, 2*pi) when
+    ``wrap`` is set.  The stages stay alive from one step to the next, so
+    large batches reuse their buffers rather than return them to the OS."""
+    for drive in drives:
+        for _ in range(per):
+            k1 = f(x, drive)
+            k2 = f(x + dt / 2 * k1, drive)
+            k3 = f(x + dt / 2 * k2, drive)
+            k4 = f(x + dt * k3, drive)
+            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if wrap:
+                x = np.mod(x, 2 * np.pi)
+            yield x
 
 
 def rhs(model, state: EnsembleState, grid: ParameterGrid, u) -> np.ndarray:
@@ -190,7 +214,7 @@ def rhs(model, state: EnsembleState, grid: ParameterGrid, u) -> np.ndarray:
         raise ValueError("state length must equal grid size")
     if u.size != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} control values, got {u.size}")
-    return _derivative(model, state.x, grid, u)
+    return _field(model, grid)(state.x, _drive(model, grid, u))
 
 
 def _steps_per_interval(interval: float, dt: float) -> int:
@@ -222,31 +246,19 @@ def simulate(model, x0, grid: ParameterGrid, control: ControlSignal, dt: float) 
         raise ValueError("dt must be positive")
 
     n_int = control.values.shape[0]
-    interval = horizon / n_int
-    per = _steps_per_interval(interval, dt)
-    wrap = isinstance(model, Kuramoto)
-    profile = _input_profile(model, grid.nodes) if isinstance(model, LinearScalar) else None
+    per = _steps_per_interval(horizon / n_int, dt)
+    f, wrap = _field(model, grid), isinstance(model, Kuramoto)
+    drives = (_drive(model, grid, u) for u in control.values)
 
     n_steps = per * n_int
     out = np.empty((n_steps + 1, x.size))
     out[0] = x
-    row = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in range(n_int):
-            u = control.values[seg]
-            for _ in range(per):
-                k1 = _derivative(model, x, grid, u, profile)
-                k2 = _derivative(model, x + dt / 2 * k1, grid, u, profile)
-                k3 = _derivative(model, x + dt / 2 * k2, grid, u, profile)
-                k4 = _derivative(model, x + dt * k3, grid, u, profile)
-                x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                if wrap:
-                    x = np.mod(x, 2 * np.pi)
-                if not np.all(np.isfinite(x)):
-                    t_bad = control.time_grid[0] + row * dt
-                    raise SolverError(f"non-finite state at t={t_bad:.6g}")
-                out[row] = x
-                row += 1
+        for row, x in enumerate(_rk4_steps(f, x, drives, per, dt, wrap), start=1):
+            if not np.all(np.isfinite(x)):
+                t_bad = control.time_grid[0] + row * dt
+                raise SolverError(f"non-finite state at t={t_bad:.6g}")
+            out[row] = x
     times = control.time_grid[0] + dt * np.arange(n_steps + 1)
     return Trajectory(times, out, grid)
 
@@ -262,42 +274,15 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt):
     if p != model.n_inputs:
         raise ValueError("control channel count must match the model input count")
     per = _steps_per_interval(horizon / n_int, dt)
-    n = grid.size
-    nodes = grid.nodes[None, :]
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (B, n)).copy()
-    out = np.empty((B, n_int + 1, n))
+    f, wrap = _field(model, grid), isinstance(model, Kuramoto)
+    drives = (_drive(model, grid, U[:, seg]) for seg in range(n_int))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (B, grid.size))
+    out = np.empty((B, n_int + 1, grid.size))
     out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(model, LinearScalar):
-            profile = _input_profile(model, grid.nodes)
-            for seg in range(n_int):
-                drive = U[:, seg, :] @ profile
-                for _ in range(per):
-                    k1 = nodes * x + drive
-                    k2 = nodes * (x + dt / 2 * k1) + drive
-                    k3 = nodes * (x + dt / 2 * k2) + drive
-                    k4 = nodes * (x + dt * k3) + drive
-                    x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                out[:, seg + 1] = x
-        else:
-            K = model.coupling
-            w = grid.weights[None, :]
-
-            def f(th, us):
-                z = np.sum(w * np.exp(1j * th), axis=1)
-                r = np.abs(z)[:, None]
-                psi = np.angle(z)[:, None]
-                return nodes + K * r * np.sin(psi - th) + us * np.sin(th)
-
-            for seg in range(n_int):
-                us = U[:, seg, :1]
-                for _ in range(per):
-                    k1 = f(x, us)
-                    k2 = f(x + dt / 2 * k1, us)
-                    k3 = f(x + dt / 2 * k2, us)
-                    k4 = f(x + dt * k3, us)
-                    x = np.mod(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), 2 * np.pi)
-                out[:, seg + 1] = x
+        for step, x in enumerate(_rk4_steps(f, x, drives, per, dt, wrap), start=1):
+            if step % per == 0:
+                out[:, step // per] = x
     if not np.all(np.isfinite(out)):
         raise SolverError("non-finite state in batched simulation")
     return out

@@ -65,6 +65,37 @@ def moment_rhs(sys: LinearMomentSystem, m, u) -> np.ndarray:
     return sys.L @ m + sys.H @ u
 
 
+def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64, hold=None, per=1):
+    """Classical RK4 for dz/dt = A z + f(t) + g, batched over leading axes.
+
+    ``forcing_half`` samples f on the half-step grid, (..., 2*n_steps+1, n).
+    ``hold`` is an optional zero-order-hold term g, (..., n_segments, n), with
+    ``per`` steps per segment; all stages of a step use the step's segment.
+    ``z0`` is (..., n); leading axes of the three inputs broadcast, and the
+    trajectory comes back as (..., n_steps+1, n) in ``dtype``.
+    """
+    At = np.asarray(A, dtype=dtype).T
+    f = np.asarray(forcing_half, dtype=dtype)
+    n_steps = (f.shape[-2] - 1) // 2
+    lead = [np.shape(z0)[:-1], f.shape[:-2]] + ([] if hold is None else [np.shape(hold)[:-2]])
+    z = np.broadcast_to(np.asarray(z0, dtype=dtype), np.broadcast_shapes(*lead) + At.shape[:1])
+    out = np.empty(z.shape[:-1] + (n_steps + 1, z.shape[-1]), dtype=dtype)
+    out[..., 0, :] = z
+    h = dtype(dt)
+    for i in range(n_steps):
+        f0, fm, f1 = f[..., 2 * i, :], f[..., 2 * i + 1, :], f[..., 2 * i + 2, :]
+        if hold is not None:
+            g = hold[..., i // per, :]
+            f0, fm, f1 = f0 + g, fm + g, f1 + g
+        k1 = z @ At + f0
+        k2 = (z + h / 2 * k1) @ At + fm
+        k3 = (z + h / 2 * k2) @ At + fm
+        k4 = (z + h * k3) @ At + f1
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[..., i + 1, :] = z
+    return out
+
+
 def _rk4_linear_moments(L, H, m0, control: ControlSignal, dt: float) -> np.ndarray:
     """RK4 trajectory of dm/dt = L m + H u(t) sampled every dt."""
     n_int = control.values.shape[0]
@@ -72,25 +103,8 @@ def _rk4_linear_moments(L, H, m0, control: ControlSignal, dt: float) -> np.ndarr
     per = int(round(horizon / n_int / dt))
     if per < 1 or abs(per * dt - horizon / n_int) > 1e-9:
         raise ValueError("dt must divide the control interval")
-    m = np.asarray(m0, dtype=float).copy()
-    out = np.empty((per * n_int + 1, m.size))
-    out[0] = m
-    row = 1
-    for seg in range(n_int):
-        hu = H @ control.values[seg]
-
-        def f(mm):
-            return L @ mm + hu
-
-        for _ in range(per):
-            k1 = f(m)
-            k2 = f(m + dt / 2 * k1)
-            k3 = f(m + dt / 2 * k2)
-            k4 = f(m + dt * k3)
-            m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[row] = m
-            row += 1
-    return out
+    free = np.zeros((2 * per * n_int + 1, L.shape[0]))
+    return _rk4_affine(L, m0, free, dt, hold=control.values @ H.T, per=per)
 
 
 def verify_moment_consistency(

@@ -170,13 +170,11 @@ class Scenario:
             return LinearScalar(int(self.model.get("inputs", 1)))
         return Kuramoto(float(self.model.get("coupling", 0.0)))
 
-    def build_grid(self) -> ParameterGrid:
+    def build_grid(self, members: int | None = None) -> ParameterGrid:
+        """The scenario's parameter grid, optionally with another member count."""
         g = self.grid
-        return make_uniform_grid(int(g["members"]), float(g["lo"]), float(g["hi"]))
-
-    def build_grid_with(self, members: int) -> ParameterGrid:
-        g = self.grid
-        return make_uniform_grid(int(members), float(g["lo"]), float(g["hi"]))
+        n = int(g["members"] if members is None else members)
+        return make_uniform_grid(n, float(g["lo"]), float(g["hi"]))
 
     def resolve_measure(self, spec: dict, where: str):
         kind = _need(spec, "kind", where)

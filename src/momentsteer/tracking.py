@@ -18,7 +18,7 @@ from .ensembles import (
     _simulate_segments_batch,
 )
 from .errors import SolverError, SolverWarning
-from .moment_systems import LinearMomentSystem, MomentTrace
+from .moment_systems import LinearMomentSystem, MomentTrace, _rk4_affine
 from .moments import FOURIER
 from .transport import MomentReference
 
@@ -100,7 +100,7 @@ def exact_tracking_feedback(
     component of the required drive outside the range of H persists as a
     structural residual, which is reported rather than hidden.
     """
-    m = np.asarray(m0, dtype=float).copy()
+    m = np.asarray(m0, dtype=float)
     if m.shape != (sys.q + 1,):
         raise ValueError(f"initial moments must have length {sys.q + 1}")
     horizon = float(ref.time_grid[-1] - ref.time_grid[0])
@@ -109,28 +109,17 @@ def exact_tracking_feedback(
         raise ValueError("dt must divide the reference horizon")
     Hp, cond_hht = _feedback_gain(sys)
 
+    # the closed loop is LTI: dm/dt = (L - H H^+ L) m + H H^+ dm*/dt
     t0 = float(ref.time_grid[0])
-    dm_half = np.array([ref.derivative(t0 + j * dt / 2) for j in range(2 * n_steps + 1)])
-    m_ref = np.array([ref.value(t0 + i * dt) for i in range(n_steps + 1)]).real
-
-    def closed_loop(mm, j):
-        u = Hp @ (dm_half[j] - sys.L @ mm)
-        return sys.L @ mm + sys.H @ u, u
-
+    dm_half = ref.derivative(t0 + np.arange(2 * n_steps + 1) * dt / 2)
     times = t0 + dt * np.arange(n_steps + 1)
-    moments = np.empty((n_steps + 1, sys.q + 1))
-    controls = np.empty((n_steps, sys.p))
-    moments[0] = m
-    for i in range(n_steps):
-        k1, u0 = closed_loop(m, 2 * i)
-        k2, _ = closed_loop(m + dt / 2 * k1, 2 * i + 1)
-        k3, _ = closed_loop(m + dt / 2 * k2, 2 * i + 1)
-        k4, _ = closed_loop(m + dt * k3, 2 * i + 2)
-        m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(m)):
-            raise SolverError(f"non-finite moments at t={times[i + 1]:.6g}")
-        moments[i + 1] = m
-        controls[i] = u0
+    m_ref = ref.value(times).real
+    P = sys.H @ Hp
+    moments = _rk4_affine(sys.L - P @ sys.L, m, dm_half @ P.T, dt)
+    bad = ~np.all(np.isfinite(moments), axis=1)
+    if bad.any():
+        raise SolverError(f"non-finite moments at t={times[np.argmax(bad)]:.6g}")
+    controls = (dm_half[:-1:2] - moments[:-1] @ sys.L.T) @ Hp.T
     residuals = np.linalg.norm(moments - m_ref, axis=1)
     cost = float(np.trapezoid(residuals**2, times))
     control = ControlSignal(times, controls)
@@ -154,47 +143,17 @@ def _hamiltonian_matrix(sys: LinearMomentSystem, R: np.ndarray) -> np.ndarray:
     return A
 
 
-def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64):
-    """RK4 for dz/dt = A z + f(t); forcing sampled on the half-step grid."""
-    Ad = A.astype(dtype)
-    z = np.asarray(z0, dtype=dtype).copy()
-    n_steps = (forcing_half.shape[0] - 1) // 2
-    out = np.empty((n_steps + 1, z.size), dtype=dtype)
-    out[0] = z
-    h = dtype(dt)
-    for i in range(n_steps):
-        k1 = Ad @ z + forcing_half[2 * i]
-        k2 = Ad @ (z + h / 2 * k1) + forcing_half[2 * i + 1]
-        k3 = Ad @ (z + h / 2 * k2) + forcing_half[2 * i + 1]
-        k4 = Ad @ (z + h * k3) + forcing_half[2 * i + 2]
-        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = z
-    return out
-
-
 def _tpbvp_forcing(ref: MomentReference, n_steps, dt, dtype=np.float64):
+    """Costate forcing 2 m*(t) on the half-step grid, evaluated in ``dtype``."""
     n = ref.order + 1
-    span = dtype(ref.span)
+    times = ref.time_grid[0] + np.arange(2 * n_steps + 1, dtype=dtype) * dtype(dt) / 2
     out = np.zeros((2 * n_steps + 1, 2 * n), dtype=dtype)
-    plan = ref.plan
-    if plan is not None:
-        pts = plan.points.astype(dtype)
-        tgt = plan.targets.astype(dtype)
-        w = plan.weights.astype(dtype)
-    for j in range(2 * n_steps + 1):
-        s = dtype(j) * dtype(dt) / 2 / span
-        if plan is not None:
-            pos = (1 - s) * pts + s * tgt
-            power = np.ones_like(pos)
-            mv = np.empty(n, dtype=dtype)
-            mv[0] = power @ w
-            for k in range(1, n):
-                power = power * pos
-                mv[k] = power @ w
-        else:
-            mv = ref.value(float(ref.time_grid[0]) + float(j) * dt / 2).astype(dtype)
-        out[j, n:] = 2 * mv
+    out[:, n:] = 2 * ref.value(times)
     return out
+
+
+# longdouble refinement passes of the TPBVP initial costate; the best is kept
+REFINEMENT_PASSES = 8
 
 
 def lq_tracking_tpbvp(
@@ -202,8 +161,6 @@ def lq_tracking_tpbvp(
     ref: MomentReference,
     setup: LQSetup,
     dt: float,
-    max_refinements: int = 4,
-    boundary_tol: float = 1e-10,
 ) -> TrackingResult:
     """Fixed-endpoint LQ moment tracking solved by single shooting.
 
@@ -211,8 +168,8 @@ def lq_tracking_tpbvp(
     plus once for the particular solution; the boundary-matching linear
     system then fixes the initial costate.  Because the matching matrix is
     ill conditioned when inputs are few, the initial costate is polished by
-    iterative refinement with extended-precision residual evaluation, and
-    the best iterate is kept.
+    ``REFINEMENT_PASSES`` rounds of iterative refinement with
+    extended-precision residual evaluation, and the best iterate is kept.
     """
     if setup.R.shape[0] != sys.p:
         raise ValueError("R must be p x p")
@@ -228,15 +185,8 @@ def lq_tracking_tpbvp(
     f64 = _tpbvp_forcing(ref, n_steps, dt)
 
     # endpoint responses of unit initial costates (homogeneous system)
-    Z = np.zeros((2 * n, n))
-    Z[n:, :] = np.eye(n)
-    for _ in range(n_steps):
-        k1 = A @ Z
-        k2 = A @ (Z + dt / 2 * k1)
-        k3 = A @ (Z + dt / 2 * k2)
-        k4 = A @ (Z + dt * k3)
-        Z = Z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    match = Z[:n, :]
+    unit = np.hstack([np.zeros((n, n)), np.eye(n)])
+    match = _rk4_affine(A, unit, np.zeros_like(f64), dt)[:, -1, :n].T
     sv = np.linalg.svd(match, compute_uv=False)
     # ill conditioning up to ~1/eps is handled by the refinement passes below;
     # only a machine-rank deficiency marks a genuinely unreachable endpoint
@@ -251,22 +201,20 @@ def lq_tracking_tpbvp(
     part = _rk4_affine(A, np.concatenate([setup.m_start, np.zeros(n)]), f64, dt)
     lam0 = np.linalg.lstsq(match, setup.m_end - part[-1, :n], rcond=None)[0]
 
-    # refinement with extended-precision residuals; keep the best iterate
+    # refinement with extended-precision residuals; keep the best iterate.
+    # The costate is accumulated in longdouble too: it is large, and its
+    # float64 rounding alone moves the endpoint by ~1e-9.
     fld = _tpbvp_forcing(ref, n_steps, dt, dtype=np.longdouble)
+    lam0 = lam0.astype(np.longdouble)
     best = (np.inf, lam0, None)
-    for _ in range(max_refinements):
-        z0 = np.concatenate([setup.m_start, lam0])
-        traj_ld = _rk4_affine(A, z0.astype(np.longdouble), fld, dt, dtype=np.longdouble)
-        resid = setup.m_end - traj_ld[-1, :n].astype(np.float64)
+    for _ in range(REFINEMENT_PASSES):
+        traj_ld = _rk4_affine(A, np.concatenate([setup.m_start, lam0]), fld, dt, np.longdouble)
+        resid = (setup.m_end - traj_ld[-1, :n]).astype(np.float64)
         rnorm = float(np.linalg.norm(resid))
         if rnorm < best[0]:
-            best = (rnorm, lam0.copy(), traj_ld)
-        if rnorm < boundary_tol:
-            break
+            best = (rnorm, lam0, traj_ld)
         lam0 = lam0 + np.linalg.lstsq(match, resid, rcond=None)[0]
     boundary_end, lam0, traj_ld = best
-    if traj_ld is None:  # pragma: no cover - defensive
-        raise SolverError("boundary refinement failed to produce a trajectory")
 
     traj = traj_ld.astype(np.float64)
     times = float(ref.time_grid[0]) + dt * np.arange(n_steps + 1)
@@ -285,7 +233,7 @@ def lq_tracking_tpbvp(
         residuals,
         cost,
         info={
-            "lambda0": lam0,
+            "lambda0": lam0.astype(np.float64),
             "lambda_trace": lam,
             "boundary_residual_start": 0.0,
             "boundary_residual_end": boundary_end,
@@ -328,33 +276,6 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentRefer
     return float(np.abs(sol.y.T - z).max() / scale)
 
 
-def _rk4_moment_batch(L, H, m0, U_half, dt, du_steps=None, per=1, eps=0.0):
-    """Batched RK4 of dm/dt = L m + H (u(t) + eps * du).
-
-    ``U_half`` samples the smooth part on half steps, (B or 1, 2*n_steps+1, p).
-    ``du_steps`` is a zero-order-hold perturbation, (B, n_segments, p) with
-    ``per`` steps per segment; every stage of a step uses the step's owning
-    segment, matching the semantics of piecewise-constant control.
-    """
-    n_steps = (U_half.shape[1] - 1) // 2
-    B = U_half.shape[0] if du_steps is None else du_steps.shape[0]
-    m = np.broadcast_to(m0, (B, m0.size)).copy()
-    out = np.empty((B, n_steps + 1, m0.size))
-    out[:, 0] = m
-    for i in range(n_steps):
-        u0, um, u1 = U_half[:, 2 * i], U_half[:, 2 * i + 1], U_half[:, 2 * i + 2]
-        if du_steps is not None:
-            bump = eps * du_steps[:, i // per, :]
-            u0, um, u1 = u0 + bump, um + bump, u1 + bump
-        k1 = m @ L.T + u0 @ H.T
-        k2 = (m + dt / 2 * k1) @ L.T + um @ H.T
-        k3 = (m + dt / 2 * k2) @ L.T + um @ H.T
-        k4 = (m + dt * k3) @ L.T + u1 @ H.T
-        m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[:, i + 1] = m
-    return out
-
-
 def tpbvp_optimality_gap(
     sys: LinearMomentSystem,
     ref: MomentReference,
@@ -386,13 +307,12 @@ def tpbvp_optimality_gap(
     z_fine = _rk4_affine(A, np.concatenate([setup.m_start, result.info["lambda0"]]),
                          f_q, dt_v / 2)
     u_nom = -0.5 * np.linalg.solve(setup.R, sys.H.T @ z_fine[:, n:].T).T  # (2*n_steps+1, p)
-    m_ref = np.array([ref.value(result.times[0] + i * dt_v) for i in range(n_steps + 1)]).real
+    drive = u_nom @ sys.H.T
+    m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
 
     per = n_steps // variation_intervals
     if per * variation_intervals != n_steps:
         raise ValueError("variation intervals must divide the verification grid")
-
-    U0 = u_nom[None]
 
     def cost_of(du, eps):
         # every stage of a step uses the step's owning variation segment
@@ -400,8 +320,7 @@ def tpbvp_optimality_gap(
         # where the variation switches, is integrated segment by segment;
         # the tracking integrand is continuous and integrates globally
         B = du.shape[0]
-        m = _rk4_moment_batch(sys.L, sys.H, setup.m_start, U0, dt_v,
-                              du_steps=du, per=per, eps=eps)
+        m = _rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=eps * du @ sys.H.T, per=per)
         e = m - m_ref[None, :, :]
         track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt_v, axis=1)
         energy = np.zeros(B)
@@ -417,9 +336,8 @@ def tpbvp_optimality_gap(
     nv = variation_intervals * sys.p
     basis = np.zeros((nv, variation_intervals, sys.p))
     basis[np.arange(nv), np.arange(nv) // sys.p, np.arange(nv) % sys.p] = 1.0
-    m_end0 = _rk4_moment_batch(sys.L, sys.H, setup.m_start, U0, dt_v)[0, -1]
-    resp = _rk4_moment_batch(sys.L, sys.H, setup.m_start, U0, dt_v,
-                             du_steps=basis, per=per, eps=1.0)[:, -1, :]
+    m_end0 = _rk4_affine(sys.L, setup.m_start, drive, dt_v)[-1]
+    resp = _rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=basis @ sys.H.T, per=per)[:, -1, :]
     E = (resp - m_end0).T  # (n, nv)
 
     rng = np.random.default_rng(seed)
@@ -436,10 +354,6 @@ def tpbvp_optimality_gap(
         gap = abs(cost_of(du, 1.0)[0] - cost_of(du, -1.0)[0]) / 2.0 / (norm_du * scale)
         worst = max(worst, float(gap))
     return worst
-
-
-def _reference_table(ref: MomentReference, times: np.ndarray) -> np.ndarray:
-    return np.array([ref.value(t) for t in times])
 
 
 def direct_shooting(
@@ -473,7 +387,7 @@ def direct_shooting(
     p = model.n_inputs
     x0 = np.asarray(x0, dtype=float)
     nodes_t = np.linspace(0.0, horizon, n_intervals + 1) + float(ref.time_grid[0])
-    m_ref = _reference_table(ref, nodes_t)
+    m_ref = ref.value(nodes_t)
     ks = np.arange(q + 1)
     wk = 2.0**-ks.astype(float)
     fourier = basis == FOURIER

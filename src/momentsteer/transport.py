@@ -2,19 +2,22 @@
 trajectories along the transport path.
 
 The one-dimensional interpolant moves each source atom linearly toward its
-monotone-rearrangement image; moments of the interpolant and their time
-derivatives are evaluated by quadrature over the source atoms.
+monotone-rearrangement image.  Power moments of the interpolant are
+polynomials in the transport stage, evaluated in closed form from mixed
+moments of the plan; trigonometric moments and their rates sum over the
+source atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import ConfigError
 from .measures import CDFTable, EmpiricalMeasure, GridDensity, cdf, quantile
-from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM, MomentSequence
+from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM
 
 __all__ = [
     "DisplacementPlan",
@@ -56,6 +59,19 @@ class DisplacementPlan:
         order = np.argsort(pts, kind="stable")
         if np.any(np.diff(tg[order]) < -1e-12):
             raise ConfigError("targets must be nondecreasing along sorted source points")
+        object.__setattr__(self, "_mixed", {})
+
+    def mixed_moments(self, q: int, dtype=np.float64) -> np.ndarray:
+        """Table M[a, b] = sum_j w_j y_j^a T_j^b for a, b <= q of sources y and
+        targets T, computed once per order and dtype."""
+        key = (q, np.dtype(dtype))
+        if key not in self._mixed:
+            ks = np.arange(q + 1)
+            y, tg, w = (arr.astype(dtype) for arr in (self.points, self.targets, self.weights))
+            table = (y**ks[:, None] * w) @ (tg**ks[:, None]).T
+            table.setflags(write=False)  # shared by every later caller
+            self._mixed[key] = table
+        return self._mixed[key]
 
     def positions(self, t: float) -> np.ndarray:
         pos = (1.0 - t) * self.points + t * self.targets
@@ -138,6 +154,8 @@ class MomentReference:
     values are stored on that grid.  When the generating plan is attached,
     :meth:`value` and :meth:`derivative` evaluate the closed-form expressions
     at arbitrary instants, which integrators use at their own stage points.
+    Both accept a scalar or an array of instants; a longdouble array is
+    evaluated in longdouble.
     """
 
     time_grid: np.ndarray
@@ -168,50 +186,65 @@ class MomentReference:
     def span(self) -> float:
         return float(self.time_grid[-1] - self.time_grid[0])
 
-    def _stage(self, t: float) -> float:
-        return (float(t) - float(self.time_grid[0])) / self.span
+    def _stage(self, t) -> np.ndarray:
+        # transport stage of the instants, in longdouble for longdouble input
+        t = np.asarray(t)
+        dtype = np.longdouble if t.dtype == np.longdouble else np.float64
+        return (t.astype(dtype) - dtype(self.time_grid[0])) / dtype(self.span)
 
-    def value(self, t: float) -> np.ndarray:
-        if self.plan is not None:
-            return _plan_moments(self.plan, self.basis, self.order, self._stage(t))
-        return self._interp(self.m_star, t)
+    def value(self, t) -> np.ndarray:
+        if self.plan is None:
+            return self._interp(self.m_star, t)
+        return _path_moments(self.plan, self.basis, self.order, self._stage(t))
 
-    def derivative(self, t: float) -> np.ndarray:
-        if self.plan is not None and self.basis in (MONOMIAL_PARAM, MONOMIAL_OUTPUT):
-            return _plan_moment_rates(self.plan, self.order, self._stage(t)) / self.span
-        return self._interp(self.dm_star, t)
+    def derivative(self, t) -> np.ndarray:
+        if self.plan is None:
+            return self._interp(self.dm_star, t)
+        rate = _path_moments(self.plan, self.basis, self.order, self._stage(t), rate=True)
+        return rate / self.span
 
-    def _interp(self, table: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty(table.shape[1], dtype=table.dtype)
-        for c in range(table.shape[1]):
-            out[c] = np.interp(t, self.time_grid, table[:, c])
-        return out
+    def _interp(self, table: np.ndarray, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.interp(t, self.time_grid, col) for col in table.T], axis=-1)
 
 
-def _plan_moments(plan: DisplacementPlan, basis: str, q: int, t: float) -> np.ndarray:
-    pos = (1.0 - t) * plan.points + t * plan.targets
+def _path_moments(plan: DisplacementPlan, basis: str, q: int, s: np.ndarray,
+                  rate: bool = False) -> np.ndarray:
+    """Moments m_k(s) of the displacement path at stages ``s`` (any shape), or
+    their stage derivatives; the trailing axis is the order k.
+
+    Power moments are polynomials in s, evaluated in Bernstein form from the
+    mixed plan moments M[a, b] = sum_j w_j y_j^a T_j^b:
+    m_k(s) = sum_i C(k, i) (1-s)^(k-i) s^i M[k-i, i] and
+    m_k'(s) = k sum_i C(k-1, i) (1-s)^(k-1-i) s^i (M[k-1-i, i+1] - M[k-i, i]).
+    Trigonometric moments sum over the atoms, with the rate
+    -ik sum_j w_j (T_j - y_j) e^(-ik pos_j).
+    """
     if basis == FOURIER:
-        return np.exp(-1j * np.outer(np.arange(q + 1), pos)) @ plan.weights
-    return (pos[None, :] ** np.arange(q + 1)[:, None]) @ plan.weights
-
-
-def _plan_moment_rates(plan: DisplacementPlan, q: int, t: float) -> np.ndarray:
-    # d/dt of sum_j w_j ((1-t) y_j + t T_j)^k = k sum_j w_j (T_j - y_j) (...)^(k-1)
-    pos = (1.0 - t) * plan.points + t * plan.targets
-    disp = plan.targets - plan.points
-    out = np.zeros(q + 1)
-    for k in range(1, q + 1):
-        out[k] = k * np.sum(plan.weights * disp * pos ** (k - 1))
+        pos = np.multiply.outer(1.0 - s, plan.points) + np.multiply.outer(s, plan.targets)
+        w = plan.weights * (plan.targets - plan.points) if rate else plan.weights
+        out = np.stack([np.exp(-1j * k * pos) @ w for k in range(q + 1)], axis=-1)
+        return -1j * np.arange(q + 1) * out if rate else out
+    M = plan.mixed_moments(q, s.dtype)
+    ks = np.arange(q + 1)
+    one_minus = (1 - s)[..., None] ** ks
+    power = s[..., None] ** ks
+    out = np.zeros(s.shape + (q + 1,), dtype=s.dtype)
+    for k in range(1 if rate else 0, q + 1):
+        d = k - 1 if rate else k  # polynomial degree
+        i = np.arange(d + 1)
+        coef = np.array([comb(d, j) for j in i], dtype=s.dtype)
+        coef = k * coef * (M[d - i, i + 1] - M[k - i, i]) if rate else coef * M[k - i, i]
+        out[..., k] = (one_minus[..., d - i] * power[..., i]) @ coef
     return out
 
 
 def ot_moment_reference(plan: DisplacementPlan, basis: str, q: int, time_grid=None) -> MomentReference:
     """Sample the transport path's moments and rates on a time grid.
 
-    The unit transport stage is mapped affinely onto the grid's span.
-    Monomial rates use the closed-form displacement formula (zero for the
-    zeroth moment); trigonometric rates fall back to central differences on
-    the grid, one-sided at the ends.
+    The unit transport stage is mapped affinely onto the grid's span.  Both
+    tables come from the closed forms of :func:`_path_moments`; the rate of
+    the zeroth moment is exactly zero.
     """
     if basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
         raise ValueError(f"unknown basis {basis!r}")
@@ -222,15 +255,6 @@ def ot_moment_reference(plan: DisplacementPlan, basis: str, q: int, time_grid=No
     if span <= 0:
         raise ConfigError("reference time grid must span a positive duration")
     stages = (time_grid - time_grid[0]) / span
-    m = np.array([_plan_moments(plan, basis, q, s) for s in stages])
-    if basis == FOURIER:
-        dm = np.gradient(m, time_grid, axis=0, edge_order=2)
-        dm[:, 0] = 0.0  # the zeroth moment of a probability path is constant
-    else:
-        dm = np.array([_plan_moment_rates(plan, q, s) for s in stages]) / span
+    m = _path_moments(plan, basis, q, stages)
+    dm = _path_moments(plan, basis, q, stages, rate=True) / span
     return MomentReference(time_grid, m, dm, basis, plan)
-
-
-def reference_sequence(ref: MomentReference, t: float) -> MomentSequence:
-    """Moment sequence of the reference at stage ``t`` (validating wrapper)."""
-    return MomentSequence(ref.basis, ref.value(t))

@@ -151,6 +151,21 @@ def test_kuramoto_order_parameter_stays_in_unit_interval_and_wrapped():
         assert np.all(row >= 0) and np.all(row < 2 * np.pi)
 
 
+@pytest.mark.parametrize("model, lo", [(LinearScalar(4), 0.0), (Kuramoto(coupling=2.0), -1.0)])
+def test_segment_batch_rows_match_simulate(model, lo):
+    from momentsteer.ensembles import _simulate_segments_batch
+
+    rng = np.random.default_rng(5)
+    g = make_uniform_grid(37, lo, 1.0)
+    x0 = rng.uniform(0.0, 2.0, 37)
+    U = rng.standard_normal((3, 6, model.n_inputs))
+    per, dt = 10, 1.0 / 60
+    batch = _simulate_segments_batch(model, x0, g, U, 1.0, dt)
+    for b in range(3):
+        traj = simulate(model, x0, g, ControlSignal(np.linspace(0, 1, 7), U[b]), dt)
+        np.testing.assert_allclose(batch[b], traj.states[::per], rtol=1e-13, atol=1e-15)
+
+
 def test_simulate_reports_blowup_time():
     g = make_uniform_grid(4, 150.0, 250.0)
     with pytest.raises(SolverError, match="t="):

@@ -151,3 +151,21 @@ def test_truncation_gap_nonincreasing_in_order():
         sups.append(max(gaps))
     assert sups[0] > sups[1] > sups[2] > sups[3]
     assert sups[-1] <= 1e-3
+
+
+def test_affine_kernel_hold_equals_segment_by_segment():
+    from momentsteer.moment_systems import _rk4_affine
+
+    rng = np.random.default_rng(2)
+    n, n_seg, per, dt = 5, 4, 3, 0.05
+    A = rng.standard_normal((n, n))
+    z0 = rng.standard_normal((3, n))
+    forcing = rng.standard_normal((2 * per * n_seg + 1, n))
+    hold = rng.standard_normal((3, n_seg, n))
+    whole = _rk4_affine(A, z0, forcing, dt, hold=hold, per=per)
+    z = z0
+    for seg in range(n_seg):
+        piece = forcing[2 * per * seg: 2 * per * (seg + 1) + 1] + hold[:, seg, None, :]
+        part = _rk4_affine(A, z, piece, dt)
+        np.testing.assert_array_equal(whole[:, per * seg: per * (seg + 1) + 1], part)
+        z = part[:, -1]

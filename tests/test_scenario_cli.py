@@ -278,6 +278,26 @@ def test_shipped_scenarios_parse_and_plan(tmp_path):
     assert np.abs(rows[:, 1 + 2 * 11]).max() == 0.0           # dm0 exactly zero
 
 
+def test_validate_clipped_mass_independent_of_member_count(tmp_path):
+    # the same labeled profile, negative on half the interval, sampled on
+    # 200 and 400 members: the clipped mass is an integral, 1/pi here
+    masses = []
+    for members in (200, 400):
+        spec = _case_one_track_scenario(p=1, q=4)
+        spec["grid"]["members"] = members
+        path = _write(tmp_path, spec, f"clip{members}.json")
+        out = tmp_path / f"clip{members}"
+        out.mkdir()
+        beta = (np.arange(members) + 0.5) / members
+        row = ",".join(f"{v:.17g}" for v in np.concatenate([[1.0], np.sin(2 * np.pi * beta)]))
+        header = ",".join(["t"] + [f"member_{j}" for j in range(members)])
+        (out / "trajectory.csv").write_text(header + "\n" + row + "\n")
+        assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
+        masses.append(json.loads((out / "validation.json").read_text())["clipped_negative_mass"])
+    assert abs(masses[0] - masses[1]) <= 1e-3
+    assert abs(masses[1] - 1 / np.pi) <= 1e-3
+
+
 def test_validate_seeded_sampling_reproducible(tmp_path):
     spec = _case_one_track_scenario(p=1, q=4)
     spec["basis"] = "monomial_output"

@@ -129,6 +129,26 @@ def test_tpbvp_small_case_boundaries_and_residual():
         np.trapezoid(res.residuals**2 + energy, res.times), rel=1e-9)
 
 
+@pytest.mark.parametrize("means, weights", [
+    ([0.25087991312720764, 0.7503049050141396], [0.4975272886737998, 0.5024727113262002]),
+    ([0.24962315658447962, 0.7508427657437207], [0.49913254821888914, 0.5008674517811109]),
+    ([0.25080833058992275, 0.7490938187021705], [0.5024309919794502, 0.4975690080205498]),
+])
+def test_tpbvp_refinement_meets_boundary_bound_near_shipped_target(means, weights):
+    # targets a hair away from the shipped fixed-endpoint scenario, on which
+    # refining a float64 initial costate stopped above the shipped 1e-8 bound
+    q, p, dt = 8, 4, 1e-3
+    sys_ = build_linear_moment_system(q, p)
+    sigma = 1 / np.sqrt(50)
+    plan = mccann_plan(truncated_gaussian(0.5, sigma),
+                       truncated_gaussian_mixture(means, [sigma, sigma], weights))
+    ref = ot_moment_reference(plan, MONOMIAL_PARAM, q, np.linspace(0.0, 1.0, 1001))
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    res = lq_tracking_tpbvp(sys_, ref, setup, dt)
+    assert res.info["boundary_residual_end"] <= 1e-8
+    assert np.linalg.norm(res.moments[-1] - setup.m_end) <= 1e-8
+
+
 def test_tpbvp_first_order_optimality_small_case():
     q, p, dt = 3, 2, 1e-3
     sys_ = build_linear_moment_system(q, p)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from momentsteer import (
+    DisplacementPlan,
     EmpiricalMeasure,
     FOURIER,
     MONOMIAL_OUTPUT,
@@ -131,16 +132,54 @@ def test_reference_endpoint_consistency():
 
 
 def test_reference_rate_matches_central_differences():
-    plan = mccann_plan(truncated_gaussian(0.5, 0.15),
-                       truncated_gaussian(0.3, 0.1))
-    ref = ot_moment_reference(plan, MONOMIAL_OUTPUT, 6)
-    for h in (1e-3, 5e-4):
-        worst = 0.0
-        for t in (0.2, 0.5, 0.8):
-            fd = (ref.value(t + h) - ref.value(t - h)) / (2 * h)
-            worst = max(worst, np.abs(fd - ref.derivative(t)).max())
-        # second-order finite differences: error shrinks like h^2
-        assert worst <= 5.0 * h**2
+    cases = [
+        (mccann_plan(truncated_gaussian(0.5, 0.15), truncated_gaussian(0.3, 0.1)),
+         MONOMIAL_OUTPUT, 5.0),
+        # k = 6 modes moved by up to pi: third derivatives near 1e3
+        (circular_plan(_uniform_atoms(200, 0.0, 2 * np.pi), np.pi), FOURIER, 200.0),
+    ]
+    for plan, basis, c in cases:
+        ref = ot_moment_reference(plan, basis, 6)
+        for h in (1e-3, 5e-4):
+            worst = 0.0
+            for t in (0.2, 0.5, 0.8):
+                fd = (ref.value(t + h) - ref.value(t - h)) / (2 * h)
+                worst = max(worst, np.abs(fd - ref.derivative(t)).max())
+            # second-order finite differences: error shrinks like h^2
+            assert worst <= c * h**2
+        # array instants give the same rows as scalar ones, up to roundoff
+        ts = np.array([0.2, 0.5, 0.8])
+        np.testing.assert_allclose(ref.derivative(ts)[1], ref.derivative(0.5),
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(ref.value(ts)[2], ref.value(0.8), rtol=1e-13, atol=1e-14)
+
+
+def test_reference_closed_form_matches_atom_sums():
+    # Bernstein form of the power moments against direct sums over the
+    # interpolant's atoms, on plans whose support straddles zero
+    rng = np.random.default_rng(11)
+    q = 12
+    ks = np.arange(q + 1)
+    for _ in range(10):
+        n = int(rng.integers(5, 300))
+        w = rng.uniform(0.1, 1.0, n)
+        plan = DisplacementPlan(np.sort(rng.uniform(-1.5, 1.0, n)), w / w.sum(),
+                                np.sort(rng.uniform(-0.5, 2.0, n)))
+        ref = ot_moment_reference(plan, MONOMIAL_OUTPUT, q, np.linspace(0.0, 1.0, 5))
+        reach = np.maximum(np.abs(plan.points), np.abs(plan.targets))
+        scale = (reach[None, :] ** ks[:, None]) @ plan.weights
+        stages = np.linspace(0.0, 1.0, 9)
+        closed = ref.value(stages)
+        for s, row in zip(stages, closed):
+            atoms = moments_output(interpolate(plan, s), q).values
+            assert np.all(np.abs(row - atoms) <= 1e-12 * scale)
+        # the extended-precision table and evaluation agree with float64
+        M64, Mld = plan.mixed_moments(q), plan.mixed_moments(q, np.longdouble)
+        assert Mld.dtype == np.longdouble
+        assert np.abs(Mld - M64).max() <= 1e-13 * np.abs(M64).max()
+        in_ld = ref.value(stages.astype(np.longdouble))
+        assert in_ld.dtype == np.longdouble
+        assert np.all(np.abs(in_ld - closed) <= 1e-13 * scale)
 
 
 def test_reference_spans_physical_horizon():
