@@ -42,6 +42,7 @@ from .moments import (
     HausdorffCheck,
     MomentSequence,
     hausdorff_check,
+    member_moments,
     moment_metric,
     moment_metric_values,
     moments_density,

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .ensembles import ControlSignal, Kuramoto, simulate, mean_field
+from .ensembles import ControlSignal, Kuramoto, _steps_per_interval, simulate, mean_field
 from .measures import (
     CDFTable,
+    EmpiricalMeasure,
     pushforward,
     sample_empirical,
     wasserstein,
@@ -28,6 +29,7 @@ from .moments import (
     FOURIER,
     MONOMIAL_OUTPUT,
     MONOMIAL_PARAM,
+    member_moments,
     moment_metric_values,
     moments_density,
     moments_fourier,
@@ -141,7 +143,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
                               "(basis must be monomial_param)")
         if isinstance(model, Kuramoto):
             raise ConfigError(f"solver '{method}' needs the linear model")
-        n_steps = int(round(scn.horizon / scn.dt))
+        n_steps = _steps_per_interval(scn.horizon, scn.dt)
         tgrid = np.linspace(0.0, scn.horizon, n_steps + 1)
         _, ref = scn.build_reference(grid, tgrid)
         sys_ = build_linear_moment_system(scn.q, model.n_inputs)
@@ -159,6 +161,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
                 result.info["optimality_gap"] = tpbvp_optimality_gap(sys_, ref, setup, result)
     else:
         intervals = int(scn.solver.get("intervals", 50))
+        _steps_per_interval(scn.horizon / intervals, scn.dt)  # replay grid, checked early
         tgrid = np.linspace(0.0, scn.horizon, intervals + 1)
         # the optimizer may run on a coarser member grid; for the linear
         # family the control generalizes exactly (members are uncoupled),
@@ -248,8 +251,6 @@ def cmd_track(scn: Scenario, out: Path) -> int:
 
 
 def _target_power_moments(target, q: int) -> np.ndarray:
-    from .measures import EmpiricalMeasure
-
     if isinstance(target, EmpiricalMeasure):
         return moments_output(target, q).values
     return moments_density(target, q).values  # identity output: same integral
@@ -284,9 +285,9 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         mu_final = pushforward(grid, np.mod(final, 2 * np.pi))
         sampled = sample_empirical(mu_final, scn.samples, rng)
         payload["w2"] = wasserstein_to_point_circular(sampled, theta_star)
-        m_final = moments_fourier(mu_final, scn.q)
-        m_target = np.exp(-1j * theta_star * np.arange(scn.q + 1))
-        payload["d_m"] = moment_metric_values(m_final.values, m_target)
+        m_final = moments_fourier(mu_final, scn.q).values
+        point = EmpiricalMeasure(np.array([theta_star % (2 * np.pi)]), np.ones(1))
+        payload["d_m"] = moment_metric_values(m_final, moments_fourier(point, scn.q).values)
         r_final, _ = mean_field(final, grid)
         payload["final_order_parameter"] = float(r_final)
     elif scn.basis == MONOMIAL_OUTPUT:
@@ -309,10 +310,8 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
             raise SolverError("final labeled profile has no mass")
         F_final = CDFTable(grid.nodes, np.minimum(inc / total, 1.0))
         payload["w2"] = wasserstein(F_final, target)
-        ks = np.arange(scn.q + 1)
-        m_final = (grid.nodes[None, :] ** ks[:, None] * final) @ grid.weights
-        m_target = moments_density(target, scn.q)
-        payload["d_m"] = moment_metric_values(m_final, m_target.values)
+        m_final = member_moments(final, grid, MONOMIAL_PARAM, scn.q)
+        payload["d_m"] = moment_metric_values(m_final, moments_density(target, scn.q).values)
 
     threshold = scn.thresholds.get("w2")
     payload["threshold_w2"] = threshold

@@ -218,9 +218,12 @@ def rhs(model, state: EnsembleState, grid: ParameterGrid, u) -> np.ndarray:
 
 
 def _steps_per_interval(interval: float, dt: float) -> int:
+    """Number of ``dt`` steps in ``interval``; the package's one rule for
+    fixed-step grids.  Raises :class:`ConfigError` unless ``dt`` divides the
+    interval into at least one step."""
     n = int(round(interval / dt))
     if n < 1 or abs(n * dt - interval) > 1e-9 * max(1.0, interval):
-        raise ValueError(f"dt={dt} does not divide the control interval {interval}")
+        raise ConfigError(f"dt={dt:g} does not divide the interval {interval:g}")
     return n
 
 

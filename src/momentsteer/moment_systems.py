@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import ControlSignal, LinearScalar, ParameterGrid, Trajectory, simulate
-from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM, moment_metric_values
+from .ensembles import (ControlSignal, LinearScalar, ParameterGrid, Trajectory,
+                        _steps_per_interval, simulate)
+from .moments import MONOMIAL_PARAM, member_moments, moment_metric_values
 
 __all__ = [
     "LinearMomentSystem",
@@ -99,10 +100,7 @@ def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64, hold=None, per=1):
 def _rk4_linear_moments(L, H, m0, control: ControlSignal, dt: float) -> np.ndarray:
     """RK4 trajectory of dm/dt = L m + H u(t) sampled every dt."""
     n_int = control.values.shape[0]
-    horizon = control.horizon
-    per = int(round(horizon / n_int / dt))
-    if per < 1 or abs(per * dt - horizon / n_int) > 1e-9:
-        raise ValueError("dt must divide the control interval")
+    per = _steps_per_interval(control.horizon / n_int, dt)
     free = np.zeros((2 * per * n_int + 1, L.shape[0]))
     return _rk4_affine(L, m0, free, dt, hold=control.values @ H.T, per=per)
 
@@ -128,15 +126,12 @@ def verify_moment_consistency(
     if not isinstance(model, LinearScalar):
         raise ValueError("consistency check applies to the labeled linear model")
     traj = simulate(model, x0, grid, control, dt)
-    ens = moment_trajectory(traj, MONOMIAL_PARAM, q).values
-
-    big = build_linear_moment_system(q + pad, model.n_inputs)
-    m0 = (grid.nodes[None, :] ** np.arange(q + pad + 1)[:, None] * traj.states[0]) @ grid.weights
     if control.horizon == 0.0:
         return 0.0
-    ode = _rk4_linear_moments(big.L, big.H, m0, control, dt)[:, : q + 1]
-    gaps = [moment_metric_values(ens[i], ode[i]) for i in range(ens.shape[0])]
-    return float(np.max(gaps))
+    ens = member_moments(traj.states, grid, MONOMIAL_PARAM, q + pad)
+    big = build_linear_moment_system(q + pad, model.n_inputs)
+    ode = _rk4_linear_moments(big.L, big.H, ens[0], control, dt)
+    return float(np.max(moment_metric_values(ens[:, : q + 1], ode[:, : q + 1])))
 
 
 @dataclass(frozen=True)
@@ -155,16 +150,4 @@ def moment_trajectory(traj: Trajectory, basis: str, q: int) -> MomentTrace:
     the grid weights; ``monomial_output`` and ``fourier`` are pushforward
     moments of the member outputs.
     """
-    w = traj.grid.weights
-    ks = np.arange(q + 1)
-    x = traj.states
-    if basis == MONOMIAL_PARAM:
-        powers = traj.grid.nodes[None, :] ** ks[:, None]
-        vals = x @ (powers * w[None, :]).T
-    elif basis == MONOMIAL_OUTPUT:
-        vals = np.stack([(x**k) @ w for k in ks], axis=1)
-    elif basis == FOURIER:
-        vals = np.stack([np.exp(-1j * k * x) @ w for k in ks], axis=1)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return MomentTrace(traj.times.copy(), vals, basis)
+    return MomentTrace(traj.times.copy(), member_moments(traj.states, traj.grid, basis, q), basis)

@@ -1,5 +1,7 @@
 """Moment transforms of measures, the weighted sequence metric, density
-reconstruction from trigonometric moments, and realizability checks."""
+reconstruction from trigonometric moments, and realizability checks.  Every
+layer maps member values to moments through :func:`member_moments` and
+measures d_M through :func:`moment_metric_values`."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from math import comb
 import numpy as np
 
 from .measures import EmpiricalMeasure, GridDensity
+from .ensembles import ParameterGrid
 
 __all__ = [
     "MONOMIAL_PARAM",
@@ -16,6 +19,7 @@ __all__ = [
     "FOURIER",
     "MomentSequence",
     "HausdorffCheck",
+    "member_moments",
     "moments_density",
     "moments_output",
     "moments_fourier",
@@ -73,13 +77,41 @@ def moments_density(f: GridDensity, q: int) -> MomentSequence:
     return MomentSequence(MONOMIAL_PARAM, vals)
 
 
+def _power_sums(x, w, q: int, trig: bool = False) -> np.ndarray:
+    """Sums m_k = sum_j w_j x_j^k (with ``trig``, sum_j w_j exp(-i k x_j)),
+    k = 0..q, over the last axis of ``x``, batched over its leading axes; the
+    orders form a new trailing axis.  Incremental powers (phase factors) keep
+    every temporary at the shape of ``x``; overflow comes back non-finite."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(-1j * x) if trig else x
+        acc = np.ones_like(factor)
+        out = np.empty(x.shape[:-1] + (q + 1,), dtype=np.result_type(factor, w))
+        out[..., 0] = acc @ w
+        for k in range(1, q + 1):
+            acc = acc * factor
+            out[..., k] = acc @ w
+    return out
+
+
+def member_moments(x, grid: ParameterGrid, basis: str, q: int) -> np.ndarray:
+    """Moments m_0..m_q of member values ``x`` (last axis: the members of
+    ``grid``), batched over the leading axes.  ``monomial_param`` reads ``x``
+    as density samples, m_k = sum_j w_j beta_j^k x_j; the other bases are the
+    pushforward moments sum_j w_j x_j^k and sum_j w_j exp(-i k x_j)."""
+    if basis == MONOMIAL_PARAM:
+        ks = np.arange(q + 1)
+        return np.asarray(x) @ (grid.nodes[None, :] ** ks[:, None] * grid.weights[None, :]).T
+    if basis not in _BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    return _power_sums(x, grid.weights, q, trig=basis == FOURIER)
+
+
 def moments_output(mu: EmpiricalMeasure, q: int) -> MomentSequence:
     """Power moments of an output measure: m_k = sum_j w_j y_j^k."""
     if q < 0:
         raise ValueError("order must be nonnegative")
-    with np.errstate(over="ignore"):
-        powers = mu.points[None, :] ** np.arange(q + 1)[:, None]
-        vals = powers @ mu.weights
+    vals = _power_sums(mu.points, mu.weights, q)
     if not np.all(np.isfinite(vals)):
         raise ValueError("moment overflow: outputs too large for the requested order")
     return MomentSequence(MONOMIAL_OUTPUT, vals)
@@ -92,8 +124,7 @@ def moments_fourier(mu: EmpiricalMeasure, q: int) -> MomentSequence:
     th = mu.points
     if np.any(th < 0) or np.any(th >= 2 * np.pi):
         raise ValueError("angles must lie in [0, 2*pi)")
-    vals = np.exp(-1j * np.outer(np.arange(q + 1), th)) @ mu.weights
-    return MomentSequence(FOURIER, vals)
+    return MomentSequence(FOURIER, _power_sums(th, mu.weights, q, trig=True))
 
 
 def reconstruct_fourier(m: MomentSequence, n_points: int = 512) -> GridDensity:
@@ -115,14 +146,16 @@ def reconstruct_fourier(m: MomentSequence, n_points: int = 512) -> GridDensity:
     return GridDensity((0.0, 2 * np.pi), vals / (2 * np.pi), signed=True)
 
 
-def moment_metric_values(a: np.ndarray, b: np.ndarray) -> float:
-    """Weighted sequence distance sum_k 2^-k |a_k - b_k| on raw arrays."""
+def moment_metric_values(a, b):
+    """Weighted sequence distance sum_k 2^-k |a_k - b_k| over the last axis;
+    leading axes broadcast, and 1-d inputs give a float."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError("moment arrays must have equal length")
-    k = np.arange(a.size, dtype=float)
-    return float(np.sum(2.0**-k * np.abs(a - b)))
+    k = np.arange(a.shape[-1], dtype=float)
+    d = (2.0**-k * np.abs(a - b)).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def moment_metric(a: MomentSequence, b: MomentSequence) -> float:

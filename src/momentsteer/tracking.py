@@ -16,10 +16,11 @@ from .ensembles import (
     LinearScalar,
     ParameterGrid,
     _simulate_segments_batch,
+    _steps_per_interval,
 )
 from .errors import SolverError, SolverWarning
 from .moment_systems import LinearMomentSystem, MomentTrace, _rk4_affine
-from .moments import FOURIER
+from .moments import member_moments, moment_metric_values
 from .transport import MomentReference
 
 __all__ = [
@@ -103,10 +104,7 @@ def exact_tracking_feedback(
     m = np.asarray(m0, dtype=float)
     if m.shape != (sys.q + 1,):
         raise ValueError(f"initial moments must have length {sys.q + 1}")
-    horizon = float(ref.time_grid[-1] - ref.time_grid[0])
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError("dt must divide the reference horizon")
+    n_steps = _steps_per_interval(ref.span, dt)
     Hp, cond_hht = _feedback_gain(sys)
 
     # the closed loop is LTI: dm/dt = (L - H H^+ L) m + H H^+ dm*/dt
@@ -176,10 +174,7 @@ def lq_tracking_tpbvp(
     n = sys.q + 1
     if setup.m_start.shape != (n,) or setup.m_end.shape != (n,):
         raise ValueError(f"boundary moments must have length {n}")
-    horizon = float(ref.time_grid[-1] - ref.time_grid[0])
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError("dt must divide the reference horizon")
+    n_steps = _steps_per_interval(ref.span, dt)
 
     A = _hamiltonian_matrix(sys, setup.R)
     f64 = _tpbvp_forcing(ref, n_steps, dt)
@@ -276,15 +271,19 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentRefer
     return float(np.abs(sol.y.T - z).max() / scale)
 
 
+# control segments of the optimality-gap variations, and the passes of the
+# projection onto the kernel of the endpoint map (repeated against roundoff)
+VARIATION_INTERVALS = 25
+PROJECTION_PASSES = 3
+
+
 def tpbvp_optimality_gap(
     sys: LinearMomentSystem,
     ref: MomentReference,
     setup: LQSetup,
     result: TrackingResult,
     n_variations: int = 10,
-    variation_intervals: int = 25,
     seed: int = 0,
-    refine: int = 2,
 ) -> float:
     """Largest relative directional derivative of the cost over random
     endpoint-preserving control variations.
@@ -294,12 +293,15 @@ def tpbvp_optimality_gap(
     projected onto the kernel of the discrete endpoint map; the derivative is
     normalized by the variation norm and the cost scale.  Verification runs
     at half the solver step to keep discretization bias below the threshold.
+    The nominal cost and both signs of every variation are one batch.
     """
     n = sys.q + 1
+    p = sys.p
     dt_solver = float(result.times[1] - result.times[0])
     dt_v = dt_solver / 2
     horizon = float(result.times[-1] - result.times[0])
-    n_steps = int(round(horizon / dt_v))
+    n_steps = _steps_per_interval(horizon, dt_v)
+    per = _steps_per_interval(horizon / VARIATION_INTERVALS, dt_v)
 
     # nominal control on the quarter grid of the solver (= half grid of dt_v)
     A = result.info["hamiltonian"]
@@ -310,50 +312,42 @@ def tpbvp_optimality_gap(
     drive = u_nom @ sys.H.T
     m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
 
-    per = n_steps // variation_intervals
-    if per * variation_intervals != n_steps:
-        raise ValueError("variation intervals must divide the verification grid")
-
-    def cost_of(du, eps):
-        # every stage of a step uses the step's owning variation segment
-        # (zero-order-hold semantics), and the energy integrand, which jumps
-        # where the variation switches, is integrated segment by segment;
-        # the tracking integrand is continuous and integrates globally
-        B = du.shape[0]
-        m = _rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=eps * du @ sys.H.T, per=per)
-        e = m - m_ref[None, :, :]
-        track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt_v, axis=1)
-        energy = np.zeros(B)
-        u_nodes = u_nom[::2]
-        for s in range(variation_intervals):
-            sl = slice(per * s, per * s + per + 1)
-            useg = u_nodes[None, sl, :] + eps * du[:, s, :][:, None, :]
-            integrand = np.einsum("bij,jk,bik->bi", useg, setup.R, useg)
-            energy += np.trapezoid(integrand, dx=dt_v, axis=1)
-        return track + energy
-
-    # discrete endpoint map of the variation coordinates
-    nv = variation_intervals * sys.p
-    basis = np.zeros((nv, variation_intervals, sys.p))
-    basis[np.arange(nv), np.arange(nv) // sys.p, np.arange(nv) % sys.p] = 1.0
+    # discrete endpoint map of the variation coordinates; one expression, so
+    # the (nv, n_steps+1, n) response trajectories are freed at once
+    nv = VARIATION_INTERVALS * p
+    basis = np.eye(nv).reshape(nv, VARIATION_INTERVALS, p)
     m_end0 = _rk4_affine(sys.L, setup.m_start, drive, dt_v)[-1]
-    resp = _rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=basis @ sys.H.T, per=per)[:, -1, :]
-    E = (resp - m_end0).T  # (n, nv)
+    E = (_rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=basis @ sys.H.T, per=per)[:, -1]
+         - m_end0).T  # (n, nv)
 
-    rng = np.random.default_rng(seed)
-    J0 = cost_of(np.zeros((1, variation_intervals, sys.p)), 0.0)[0]
-    scale = max(1.0, abs(J0))
-    worst = 0.0
-    for _ in range(n_variations):
-        v = rng.standard_normal(nv)
-        # project onto ker E, with a refinement pass against roundoff
-        for _ in range(refine + 1):
-            v = v - E.T @ np.linalg.lstsq(E @ E.T, E @ v, rcond=None)[0]
-        du = v.reshape(1, variation_intervals, sys.p)
-        norm_du = float(np.sqrt(np.sum(du**2) * horizon / variation_intervals))
-        gap = abs(cost_of(du, 1.0)[0] - cost_of(du, -1.0)[0]) / 2.0 / (norm_du * scale)
-        worst = max(worst, float(gap))
-    return worst
+    v = np.random.default_rng(seed).standard_normal((n_variations, nv))
+    for _ in range(PROJECTION_PASSES):
+        v = v - np.linalg.lstsq(E @ E.T, E @ v.T, rcond=None)[0].T @ E
+    du = v.reshape(n_variations, VARIATION_INTERVALS, p)
+    batch = np.concatenate([np.zeros((1, VARIATION_INTERVALS, p)), du, -du])
+
+    # every stage of a step uses the step's owning variation segment
+    # (zero-order-hold semantics), and the energy integrand, which jumps
+    # where the variation switches, is integrated segment by segment; the
+    # tracking integrand is continuous and integrates globally
+    m = _rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=batch @ sys.H.T, per=per)
+    e = m - m_ref
+    track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt_v, axis=1)
+    nodes = per * np.arange(VARIATION_INTERVALS)[:, None] + np.arange(per + 1)
+    useg = u_nom[::2][nodes] + batch[:, :, None, :]  # (B, segments, per+1, p)
+    integrand = np.einsum("bsij,jk,bsik->bsi", useg, setup.R, useg)
+    J = track + np.trapezoid(integrand, dx=dt_v, axis=-1).sum(axis=1)
+
+    scale = max(1.0, abs(J[0]))
+    norm_du = np.sqrt(np.sum(du**2, axis=(1, 2)) * horizon / VARIATION_INTERVALS)
+    gaps = np.abs(J[1 : n_variations + 1] - J[n_variations + 1 :]) / 2.0 / (norm_du * scale)
+    return float(np.max(gaps, initial=0.0))
+
+
+# forward-difference step of the shooting gradient, and the first trial step
+# of its line search
+FD_STEP = 1e-6
+SEED_STEP = 1.0
 
 
 def direct_shooting(
@@ -368,16 +362,15 @@ def direct_shooting(
     iterations: int = 300,
     dt: float | None = None,
     initial_guess=None,
-    fd_step: float = 1e-6,
-    seed_step: float = 1.0,
 ) -> TrackingResult:
     """Moment tracking by gradient descent on a piecewise-constant control.
 
     The objective is the trapezoid quadrature of the moment-metric gap to the
     reference at the control-interval boundaries plus a quadratic energy
-    term.  Gradients are forward differences (one batched ensemble simulation
-    per control coordinate per iteration); steps use backtracking line search
-    so the cost trace is monotone nonincreasing.  Returns the best iterate,
+    term; the moments are those of ``basis``, so any of the three bases can
+    be tracked.  Gradients are forward differences (one batched ensemble
+    simulation per control coordinate per iteration); steps use backtracking
+    line search so the cost trace is monotone nonincreasing.  Returns the best iterate,
     flagged unconverged if the iteration budget ran out while descent was
     still succeeding.
     """
@@ -388,30 +381,11 @@ def direct_shooting(
     x0 = np.asarray(x0, dtype=float)
     nodes_t = np.linspace(0.0, horizon, n_intervals + 1) + float(ref.time_grid[0])
     m_ref = ref.value(nodes_t)
-    ks = np.arange(q + 1)
-    wk = 2.0**-ks.astype(float)
-    fourier = basis == FOURIER
-
-    def batch_moments(states):
-        # incremental powers / phase factors keep the temporaries at (B, S, n)
-        B, S, _ = states.shape
-        out = np.empty((B, S, q + 1), dtype=complex if fourier else float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if fourier:
-                phase = np.exp(-1j * states)
-                acc = np.ones_like(phase)
-            else:
-                acc = np.ones_like(states)
-            out[:, :, 0] = acc @ grid.weights
-            for k in range(1, q + 1):
-                acc = acc * (phase if fourier else states)
-                out[:, :, k] = acc @ grid.weights
-        return out
 
     def cost_batch(U):
         states = _simulate_segments_batch(model, x0, grid, U, horizon, dt)
-        mom = batch_moments(states)
-        gaps = (wk[None, None, :] * np.abs(mom - m_ref[None, :, :])).sum(axis=2)
+        mom = member_moments(states, grid, basis, q)
+        gaps = moment_metric_values(mom, m_ref)
         track = np.trapezoid(gaps, dx=horizon / n_intervals, axis=1)
         energy = energy_weight * (U**2).sum(axis=(1, 2)) * (horizon / n_intervals)
         return track + energy, mom, gaps
@@ -427,16 +401,16 @@ def direct_shooting(
         raise SolverError("initial control produces a non-finite cost")
     history = [J]
     best = (J, u.copy())
-    step = seed_step
+    step = SEED_STEP
     budget_exhausted = False
     nv = n_intervals * p
     rows = np.arange(nv)
     for it in range(iterations):
         U = np.tile(u[None], (nv + 1, 1, 1))
-        U[rows + 1, rows // p, rows % p] += fd_step
+        U[rows + 1, rows // p, rows % p] += FD_STEP
         Js, _, _ = cost_batch(U)
         J = float(Js[0])
-        g = (Js[1:] - J) / fd_step
+        g = (Js[1:] - J) / FD_STEP
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             break
@@ -489,12 +463,10 @@ def tracking_cost(
     times = trace.times
     if times.size != ref.time_grid.size or np.max(np.abs(times - ref.time_grid)) > 1e-9:
         raise ValueError("trace and reference time grids must coincide")
-    gap_src = trace.values - ref.m_star
     if metric == "d_M":
-        ks = np.arange(gap_src.shape[1], dtype=float)
-        inst = (2.0**-ks[None, :] * np.abs(gap_src)).sum(axis=1)
+        inst = moment_metric_values(trace.values, ref.m_star)
     elif metric == "euclidean":
-        inst = np.linalg.norm(gap_src, axis=1) ** 2
+        inst = np.linalg.norm(trace.values - ref.m_star, axis=1) ** 2
     else:
         raise ValueError(f"unknown metric {metric!r}")
     total = float(np.trapezoid(inst, times))

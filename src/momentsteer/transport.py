@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import CDFTable, EmpiricalMeasure, GridDensity, cdf, quantile
-from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM
+from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM, _power_sums
 
 __all__ = [
     "DisplacementPlan",
@@ -223,7 +223,7 @@ def _path_moments(plan: DisplacementPlan, basis: str, q: int, s: np.ndarray,
     if basis == FOURIER:
         pos = np.multiply.outer(1.0 - s, plan.points) + np.multiply.outer(s, plan.targets)
         w = plan.weights * (plan.targets - plan.points) if rate else plan.weights
-        out = np.stack([np.exp(-1j * k * pos) @ w for k in range(q + 1)], axis=-1)
+        out = _power_sums(pos, w, q, trig=True)
         return -1j * np.arange(q + 1) * out if rate else out
     M = plan.mixed_moments(q, s.dtype)
     ks = np.arange(q + 1)

@@ -11,6 +11,7 @@ from momentsteer import (
     hausdorff_check,
     make_uniform_grid,
     mean_field,
+    member_moments,
     moment_metric,
     moment_metric_values,
     moments_density,
@@ -78,6 +79,28 @@ def test_output_moments_match_raw_member_path():
     via_measure = moments_output(pushforward(g, y), 6).values
     direct = np.array([(y**k) @ g.weights for k in range(7)])
     np.testing.assert_allclose(via_measure, direct, rtol=1e-14)
+    # the batched member map against the slow per-order formulas, on a
+    # (B, S, n) batch with negative values; errors are relative to the
+    # absolute sums, since signed sums may cancel
+    q = 7
+    g = make_uniform_grid(40, -1.0, 2.0)
+    x = rng.uniform(-1.5, 1.5, (3, 5, 40))
+    ks = np.arange(q + 1)
+    slow = {
+        MONOMIAL_OUTPUT: np.stack([(x**k) @ g.weights for k in ks], axis=-1),
+        FOURIER: np.stack([np.exp(-1j * k * x) @ g.weights for k in ks], axis=-1),
+        MONOMIAL_PARAM: np.stack([x @ (g.nodes**k * g.weights) for k in ks], axis=-1),
+    }
+    scale = {
+        MONOMIAL_OUTPUT: np.stack([np.abs(x) ** k @ g.weights for k in ks], axis=-1),
+        FOURIER: np.ones(q + 1),
+        MONOMIAL_PARAM: np.stack([np.abs(x) @ (np.abs(g.nodes) ** k * g.weights) for k in ks],
+                                 axis=-1),
+    }
+    for basis, expect in slow.items():
+        got = member_moments(x, g, basis, q)
+        assert got.shape == (3, 5, q + 1)
+        assert np.all(np.abs(got - expect) <= 1e-13 * scale[basis])
 
 
 # -------------------------------------------------------------- fourier case
@@ -171,10 +194,16 @@ def test_metric_zero_and_single_component():
 
 def test_metric_triangle_inequality():
     rng = np.random.default_rng(12)
+    rows = []
     for _ in range(25):
         a, b, c = (rng.standard_normal(9) for _ in range(3))
         dab = moment_metric_values(a, b)
         assert dab <= moment_metric_values(a, c) + moment_metric_values(c, b) + 1e-12
+        rows.append((a, b, dab))
+    # batched over the last axis: the same numbers as row by row
+    a, b, d = (np.array(col) for col in zip(*rows))
+    assert np.array_equal(moment_metric_values(a.reshape(5, 5, 9), b.reshape(5, 5, 9)),
+                          d.reshape(5, 5))
 
 
 def test_metric_rejects_mismatch():

@@ -170,6 +170,18 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
     assert summary["threshold_failures"] == ["max_residual"]
 
 
+@pytest.mark.parametrize("name", ["labeled_exact.json", "kuramoto_sync.json"])
+def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name):
+    from pathlib import Path
+
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
+    spec["dt"] = 0.003
+    out = tmp_path / "bad_dt"
+    code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
+    assert code == 2
+    assert "configuration error: dt=0.003" in capsys.readouterr().err
+
+
 def test_track_exact_square_regime_reports_structural_gap(tmp_path):
     # as many inputs as the truncation order (one fewer than tracked
     # components): the recorded residual reflects the rank defect honestly

@@ -28,6 +28,7 @@ from momentsteer import (
     truncated_gaussian,
     truncated_gaussian_mixture,
 )
+from momentsteer.ensembles import Trajectory
 from momentsteer.moment_systems import MomentTrace
 
 
@@ -254,6 +255,20 @@ def test_shooting_descends_kuramoto_smoke():
     r_final, _ = mean_field(final, g)
     r_start, _ = mean_field(th0, g)
     assert r_final > r_start + 0.3
+
+
+def test_shooting_tracks_labeled_moments():
+    # with basis monomial_param the objective sees the density moments
+    # sum_j w_j beta_j^k x_j, the same coordinates as moment_trajectory
+    n, q, n_int = 50, 4, 4
+    g = make_uniform_grid(n, 0.0, 1.0)
+    dens = truncated_gaussian(0.5, 1 / np.sqrt(50))
+    x0 = np.interp(g.nodes, dens.xs, dens.values)
+    ref = _case_one_reference(q, n_int)
+    res = direct_shooting(LinearScalar(2), g, x0, MONOMIAL_PARAM, q, ref,
+                          n_intervals=n_int, iterations=2)
+    labeled = moment_trajectory(Trajectory(np.zeros(1), x0[None, :], g), MONOMIAL_PARAM, q)
+    np.testing.assert_allclose(res.moments[0], labeled.values[0], rtol=0, atol=1e-12)
 
 
 def test_shooting_rejects_non_finite_start():
