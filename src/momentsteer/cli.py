@@ -11,11 +11,12 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, SolverWarning
 from .ensembles import ControlSignal, Kuramoto, _steps_per_interval, simulate, mean_field
 from .measures import (
     CDFTable,
@@ -130,6 +131,11 @@ def _check_thresholds(scn: Scenario, summary: dict) -> list:
     return failures
 
 
+# a replay whose members grow past this multiple of the initial magnitude
+# (at least 1) is reported as a SolverWarning
+REPLAY_BLOWUP = 1e3
+
+
 def cmd_track(scn: Scenario, out: Path) -> int:
     t_start = time.monotonic()
     model = scn.build_model()
@@ -227,18 +233,33 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     _write_csv(out / "trajectory.csv", header,
                (np.concatenate([[t], s]) for t, s in zip(traj.times, traj.states)))
 
+    # the moment-space residuals cannot see members that blow up in the replay
+    replay_max = float(np.max(np.abs(traj.states)))
+    start_max = max(1.0, float(np.max(np.abs(x0))))
+    if replay_max > REPLAY_BLOWUP * start_max:
+        warnings.warn(
+            f"replayed members reach |x| = {replay_max:.3g}, more than {REPLAY_BLOWUP:g} "
+            f"times the initial {start_max:.3g}",
+            SolverWarning,
+            stacklevel=2,
+        )
+
     summary = {
         "method": method,
         "cost": result.cost,
         "max_residual": float(np.max(result.residuals)),
         "final_residual": float(result.residuals[-1]),
         "converged": bool(result.converged),
+        "max_abs_control": float(np.max(np.abs(result.control.values))),
+        "replay_max_abs_state": replay_max,
         "runtime_s": time.monotonic() - t_start,
     }
     for key in ("boundary_residual_start", "boundary_residual_end", "matching_condition",
                 "hht_condition", "ode_residual", "optimality_gap", "iterations"):
         if key in result.info:
             summary[key] = float(result.info[key])
+    if "stop_reason" in result.info:
+        summary["stop_reason"] = result.info["stop_reason"]
     if isinstance(model, Kuramoto):
         r_final, _ = mean_field(traj.states[-1], grid)
         summary["final_order_parameter"] = float(r_final)

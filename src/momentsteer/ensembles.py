@@ -166,12 +166,17 @@ def mean_field(state, grid: ParameterGrid):
     return min(float(np.abs(z)), 1.0), float(np.angle(z))
 
 
+def _profile(model: LinearScalar, grid: ParameterGrid) -> np.ndarray:
+    """Input profile of the linear family: row i holds beta^i."""
+    return grid.nodes[None, :] ** np.arange(model.n_inputs)[:, None]
+
+
 def _drive(model, grid: ParameterGrid, u) -> np.ndarray:
     """Input term of one control segment, batched over leading axes of ``u``:
     ``u @ profile`` with rows beta^(i-1) for the linear family, u_1 for
     Kuramoto."""
     if isinstance(model, LinearScalar):
-        return u @ grid.nodes[None, :] ** np.arange(model.n_inputs)[:, None]
+        return u @ _profile(model, grid)
     return u[..., :1]
 
 
@@ -186,6 +191,28 @@ def _field(model, grid: ParameterGrid):
         z = np.sum(w * np.exp(1j * x), axis=-1, keepdims=True)
         r, psi = np.minimum(np.abs(z), 1.0), np.angle(z)
         return nodes + K * r * np.sin(psi - x) + drive * np.sin(x)
+
+    return kuramoto
+
+
+def _field_vjp(model, grid: ParameterGrid):
+    """Vector-Jacobian product of :func:`_field` at one state ``x`` (1-d):
+    maps a cotangent ``b`` of f(x, drive) to the cotangents of ``x`` and
+    ``drive``.
+
+    Linear family: (beta * b, b).  Kuramoto, with z = sum_j w_j e^{i x_j}:
+    b (-K Re(z e^{-ix}) + drive cos x) + K w Re(e^{ix} sum_j b_j e^{-i x_j}),
+    and sum_j b_j sin x_j for the drive, written out in cos x and sin x."""
+    nodes = grid.nodes
+    if isinstance(model, LinearScalar):
+        return lambda x, drive, b: (nodes * b, b)
+    K, w = model.coupling, grid.weights
+
+    def kuramoto(x, drive, b):
+        c, s = np.cos(x), np.sin(x)
+        bs = b @ s
+        xbar = b * (drive * c - K * ((c @ w) * c + (s @ w) * s)) + K * w * ((b @ c) * c + bs * s)
+        return xbar, bs
 
     return kuramoto
 
@@ -205,6 +232,29 @@ def _rk4_steps(f, x, drives, per: int, dt: float, wrap: bool):
             if wrap:
                 x = np.mod(x, 2 * np.pi)
             yield x
+
+
+def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
+    """Reverse sweep of :func:`_rk4_steps`: the exact discrete adjoint.
+
+    ``stages`` holds the four stage inputs of every forward step in order,
+    ``seeds`` the cotangents of the states at the segment boundaries (one row
+    per boundary).  Returns the cotangent of each segment's drive.  The phase
+    wrap has identity derivative."""
+    xbar = seeds[-1]
+    dbar = np.zeros_like(drives)
+    for seg in range(len(drives) - 1, -1, -1):
+        d = drives[seg]
+        for n in range(per * (seg + 1) - 1, per * seg - 1, -1):
+            x, y2, y3, y4 = stages[4 * n : 4 * n + 4]
+            b4, g4 = vjp(y4, d, dt / 6 * xbar)
+            b3, g3 = vjp(y3, d, dt / 3 * xbar + dt * b4)
+            b2, g2 = vjp(y2, d, dt / 3 * xbar + dt / 2 * b3)
+            b1, g1 = vjp(x, d, dt / 6 * xbar + dt / 2 * b2)
+            xbar = xbar + b1 + b2 + b3 + b4
+            dbar[seg] += g1 + g2 + g3 + g4
+        xbar = xbar + seeds[seg]
+    return dbar
 
 
 def rhs(model, state: EnsembleState, grid: ParameterGrid, u) -> np.ndarray:
@@ -289,3 +339,39 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt):
     if not np.all(np.isfinite(out)):
         raise SolverError("non-finite state in batched simulation")
     return out
+
+
+def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
+    """Forward run of one piecewise-constant control ``u`` (n_intervals, p)
+    that records the input of every RK4 stage.
+
+    Returns the states at the segment boundaries, shape (n_intervals + 1, n),
+    and the pullback that maps their cotangents to the cotangent of ``u``
+    through one reverse sweep (:func:`_rk4_adjoint`).  Semantics match
+    :func:`_simulate_segments_batch` for a batch of one."""
+    n_int = u.shape[0]
+    per = _steps_per_interval(horizon / n_int, dt)
+    f, wrap = _field(model, grid), isinstance(model, Kuramoto)
+    drives = _drive(model, grid, u)
+    stages = []
+
+    def recorded(x, drive):
+        stages.append(x)
+        return f(x, drive)
+
+    bounds = np.empty((n_int + 1, grid.size))
+    bounds[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, x in enumerate(_rk4_steps(recorded, bounds[0], drives, per, dt, wrap), start=1):
+            if step % per == 0:
+                bounds[step // per] = x
+    if not np.all(np.isfinite(bounds)):
+        raise SolverError("non-finite state in the forward run of the adjoint")
+
+    def pullback(seeds):
+        dbar = _rk4_adjoint(_field_vjp(model, grid), stages, drives, per, dt, seeds)
+        if isinstance(model, LinearScalar):
+            return dbar @ _profile(model, grid).T
+        return dbar  # Kuramoto's drive is column 0 of its one-column control
+
+    return bounds, pullback

@@ -107,6 +107,32 @@ def member_moments(x, grid: ParameterGrid, basis: str, q: int) -> np.ndarray:
     return _power_sums(x, grid.weights, q, trig=basis == FOURIER)
 
 
+def _member_moments_vjp(x, grid: ParameterGrid, basis: str, q: int, mbar) -> np.ndarray:
+    """Cotangent of :func:`member_moments`: Re(sum_k mbar_k dm_k/dx_j) for
+    every member, batched like ``x``.  Powers are built up incrementally as
+    in :func:`_power_sums`, so no term forms x^-1; m_0 does not depend on the
+    members of the pushforward bases."""
+    x = np.asarray(x)
+    w = grid.weights
+    if basis == MONOMIAL_PARAM:
+        ks = np.arange(q + 1)
+        return np.real(mbar) @ (grid.nodes[None, :] ** ks[:, None] * w[None, :])
+    trig = basis == FOURIER
+    mbar = (np.asarray(mbar) if trig else np.real(mbar))[..., None]
+    out = np.zeros(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(-1j * x) if trig else x
+        acc = np.ones_like(factor)
+        for k in range(1, q + 1):
+            if trig:  # d/dx e^{-ikx} = -ik e^{-ikx}, and Re(-i a) = Im(a)
+                acc = acc * factor
+                out += k * np.imag(mbar[..., k, :] * acc)
+            else:
+                out += k * mbar[..., k, :] * acc
+                acc = acc * factor
+    return out * w
+
+
 def moments_output(mu: EmpiricalMeasure, q: int) -> MomentSequence:
     """Power moments of an output measure: m_k = sum_j w_j y_j^k."""
     if q < 0:
@@ -156,6 +182,17 @@ def moment_metric_values(a, b):
     k = np.arange(a.shape[-1], dtype=float)
     d = (2.0**-k * np.abs(a - b)).sum(axis=-1)
     return float(d) if d.ndim == 0 else d
+
+
+def _metric_vjp(a, b) -> np.ndarray:
+    """Gradient of :func:`moment_metric_values` in ``a``: 2^-k conj(e_k)/|e_k|
+    with e = a - b, which is the sign of the gap for real moments and 0 at an
+    exact zero.  The derivative along a real variation of ``a`` is
+    Re(sum_k grad_k da_k)."""
+    e = np.asarray(a) - np.asarray(b)
+    mag = np.abs(e)
+    k = np.arange(e.shape[-1], dtype=float)
+    return 2.0**-k * (np.conj(e) / np.where(mag > 0, mag, 1.0))
 
 
 def moment_metric(a: MomentSequence, b: MomentSequence) -> float:

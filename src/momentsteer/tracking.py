@@ -1,6 +1,8 @@
 """Control synthesis for moment tracking: pointwise minimum-norm feedback,
 fixed-endpoint LQ tracking via a shooting-solved boundary value problem, and
-derivative-free direct shooting for nonlinear ensembles.
+direct shooting for nonlinear ensembles, whose gradient is the exact
+discrete adjoint of its RK4 objective (one forward run and one reverse
+sweep per iteration).
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from .ensembles import (
     ControlSignal,
     LinearScalar,
     ParameterGrid,
+    _segments_vjp,
     _simulate_segments_batch,
     _steps_per_interval,
 )
 from .errors import SolverError, SolverWarning
 from .moment_systems import LinearMomentSystem, MomentTrace, _rk4_affine
-from .moments import member_moments, moment_metric_values
+from .moments import _member_moments_vjp, _metric_vjp, member_moments, moment_metric_values
 from .transport import MomentReference
 
 __all__ = [
@@ -344,10 +347,27 @@ def tpbvp_optimality_gap(
     return float(np.max(gaps, initial=0.0))
 
 
-# forward-difference step of the shooting gradient, and the first trial step
-# of its line search
-FD_STEP = 1e-6
+# first trial step of the shooting line search
 SEED_STEP = 1.0
+
+
+def _shooting_gradient(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight):
+    """Exact gradient of the discrete shooting objective at the control ``u``
+    (n_intervals, p): one forward RK4 run that records every stage, the
+    cotangents of the boundary moments through d_M and the trapezoid
+    weights, then one reverse sweep through the same steps.  A non-finite forward run or gradient raises
+    :class:`SolverError`."""
+    n_int = u.shape[0]
+    h = horizon / n_int
+    bounds, pullback = _segments_vjp(model, grid, x0, u, horizon, dt)
+    trap = np.full(n_int + 1, h)
+    trap[[0, -1]] = h / 2
+    mbar = trap[:, None] * _metric_vjp(member_moments(bounds, grid, basis, q), m_ref)
+    g = pullback(_member_moments_vjp(bounds, grid, basis, q, mbar))
+    g = g + 2 * energy_weight * h * u
+    if not np.all(np.isfinite(g)):
+        raise SolverError("non-finite shooting gradient")
+    return g
 
 
 def direct_shooting(
@@ -368,11 +388,14 @@ def direct_shooting(
     The objective is the trapezoid quadrature of the moment-metric gap to the
     reference at the control-interval boundaries plus a quadratic energy
     term; the moments are those of ``basis``, so any of the three bases can
-    be tracked.  Gradients are forward differences (one batched ensemble
-    simulation per control coordinate per iteration); steps use backtracking
-    line search so the cost trace is monotone nonincreasing.  Returns the best iterate,
-    flagged unconverged if the iteration budget ran out while descent was
-    still succeeding.
+    be tracked.  The gradient is the exact gradient of this discrete
+    objective (:func:`_shooting_gradient`); steps use backtracking line
+    search so the cost trace is monotone nonincreasing.  Returns the best
+    iterate.  ``info["stop_reason"]`` is ``"gradient_zero"`` (converged),
+    ``"line_search"`` (no descent step found) or ``"budget"`` (iterations
+    used up); only the first counts as converged.  ``info`` also holds
+    ``cost_history``, ``grad_norm_history`` (one entry per gradient) and
+    ``step_history`` (one accepted step per iteration).
     """
     horizon = float(ref.time_grid[-1] - ref.time_grid[0])
     if dt is None:
@@ -399,26 +422,22 @@ def direct_shooting(
     J = float(J[0])
     if not np.isfinite(J):
         raise SolverError("initial control produces a non-finite cost")
-    history = [J]
+    history, grad_norms, steps = [J], [], []
     best = (J, u.copy())
     step = SEED_STEP
-    budget_exhausted = False
-    nv = n_intervals * p
-    rows = np.arange(nv)
-    for it in range(iterations):
-        U = np.tile(u[None], (nv + 1, 1, 1))
-        U[rows + 1, rows // p, rows % p] += FD_STEP
-        Js, _, _ = cost_batch(U)
-        J = float(Js[0])
-        g = (Js[1:] - J) / FD_STEP
+    stop_reason = "budget"
+    for _ in range(iterations):
+        g = _shooting_gradient(model, grid, x0, basis, q, m_ref, u, horizon, dt,
+                               energy_weight)
         gnorm = float(np.linalg.norm(g))
+        grad_norms.append(gnorm)
         if gnorm == 0.0:
+            stop_reason = "gradient_zero"
             break
-        direction = -g.reshape(n_intervals, p)
         alpha, accepted = step, False
         for _ in range(40):
             try:
-                Jn = float(cost_batch((u + alpha * direction)[None])[0][0])
+                Jn = float(cost_batch((u - alpha * g)[None])[0][0])
             except SolverError:
                 Jn = np.inf
             if np.isfinite(Jn) and Jn < J - 1e-4 * alpha * gnorm**2:
@@ -426,15 +445,15 @@ def direct_shooting(
                 break
             alpha *= 0.5
         if not accepted:
+            stop_reason = "line_search"
             break
-        u = u + alpha * direction
+        u = u - alpha * g
         J = Jn
         step = min(alpha * 2.0, 1e4)
         history.append(J)
+        steps.append(alpha)
         if J < best[0]:
             best = (J, u.copy())
-        if it == iterations - 1:
-            budget_exhausted = True
 
     J, u = best
     _, mom, gaps = cost_batch(u[None])
@@ -445,8 +464,14 @@ def direct_shooting(
         mom[0],
         gaps[0],
         float(J),
-        converged=not budget_exhausted,
-        info={"cost_history": np.array(history), "iterations": len(history) - 1},
+        converged=stop_reason == "gradient_zero",
+        info={
+            "cost_history": np.array(history),
+            "grad_norm_history": np.array(grad_norms),
+            "step_history": np.array(steps),
+            "iterations": len(history) - 1,
+            "stop_reason": stop_reason,
+        },
     )
 
 

@@ -182,6 +182,26 @@ def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name):
     assert "configuration error: dt=0.003" in capsys.readouterr().err
 
 
+def test_track_warns_when_replay_blows_up(tmp_path):
+    # the shipped exact scenario tracks its moments to 2e-7 in moment space,
+    # while its control and the replayed members grow by orders of magnitude
+    import warnings
+    from pathlib import Path
+
+    from momentsteer import SolverWarning
+
+    spec = Path(__file__).resolve().parents[1] / "scenarios" / "labeled_exact.json"
+    out = tmp_path / "blowup"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SolverWarning)
+        assert main(["track", "--scenario", str(spec), "--out", str(out)]) == 0
+    assert any("replayed members" in str(w.message) for w in caught)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_abs_control"] > 1e6
+    assert summary["replay_max_abs_state"] > 1e3
+    assert "stop_reason" not in summary
+
+
 def test_track_exact_square_regime_reports_structural_gap(tmp_path):
     # as many inputs as the truncation order (one fewer than tracked
     # components): the recorded residual reflects the rank defect honestly
@@ -233,6 +253,10 @@ def test_track_kuramoto_smoke_then_validate(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_order_parameter"] >= 0.15
     assert "cost" in summary and summary["converged"] in (True, False)
+    assert summary["stop_reason"] in ("gradient_zero", "line_search", "budget")
+    assert summary["converged"] == (summary["stop_reason"] == "gradient_zero")
+    assert 0.0 < summary["replay_max_abs_state"] < 2 * np.pi
+    assert summary["max_abs_control"] > 0.0
     # circular validation against the point target off the written trajectory
     assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "validation.json").read_text())

@@ -233,6 +233,118 @@ def test_shooting_forward_gradient_matches_central():
         assert abs(forward - central) <= 1e-3 * max(abs(central), 1e-6)
 
 
+def _shooting_case(kind):
+    """A small shooting problem: (model, grid, x0, basis, q, reference)."""
+    n, q, n_int = 32, 4, 4
+    tgrid = np.linspace(0.0, 1.0, n_int + 1)
+    if kind == "kuramoto":
+        from momentsteer import circular_plan, pushforward
+
+        g = make_uniform_grid(n, -1.0, 1.0)
+        th0 = 2 * np.pi * (np.arange(n) + 0.5) / n
+        ref = ot_moment_reference(circular_plan(pushforward(g, th0), np.pi), FOURIER, q, tgrid)
+        return Kuramoto(coupling=1.0), g, th0, FOURIER, q, ref
+    g = make_uniform_grid(n, 0.0, 1.0)
+    plan = mccann_plan(
+        truncated_gaussian(0.5, 1 / np.sqrt(50)),
+        truncated_gaussian_mixture([0.25, 0.75], [1 / np.sqrt(50)] * 2, [0.5, 0.5]),
+    )
+    if kind == "output":
+        x0 = 0.3 + 0.4 * (np.cumsum(g.weights) - g.weights / 2)
+        return LinearScalar(), g, x0, MONOMIAL_OUTPUT, q, \
+            ot_moment_reference(plan, MONOMIAL_OUTPUT, q, tgrid)
+    dens = truncated_gaussian(0.5, 1 / np.sqrt(50))
+    x0 = np.interp(g.nodes, dens.xs, dens.values)
+    return LinearScalar(2), g, x0, MONOMIAL_PARAM, q, \
+        ot_moment_reference(plan, MONOMIAL_PARAM, q, tgrid)
+
+
+@pytest.mark.parametrize("kind", ["output", "param", "kuramoto"])
+def test_shooting_adjoint_gradient_matches_central_differences(kind):
+    # the objective is re-evaluated independently through simulate and
+    # moment_trajectory, then differentiated by central differences
+    from momentsteer.tracking import _shooting_gradient
+
+    model, g, x0, basis, q, ref = _shooting_case(kind)
+    n_int = ref.time_grid.size - 1
+    dt, ew = 1.0 / n_int / 10, 1e-3
+    wk = 2.0 ** (-np.arange(q + 1).astype(float))
+
+    def objective(u):
+        traj = simulate(model, x0, g, ControlSignal(ref.time_grid, u), dt)
+        idx = np.linspace(0, traj.times.size - 1, n_int + 1).astype(int)
+        mom = moment_trajectory(traj, basis, q).values[idx]
+        gap = (wk[None, :] * np.abs(mom - ref.m_star)).sum(axis=1)
+        return np.trapezoid(gap, ref.time_grid) + ew * (u**2).sum() / n_int
+
+    u = np.random.default_rng(1).uniform(-0.5, 0.5, (n_int, model.n_inputs))
+    adjoint = _shooting_gradient(model, g, x0, basis, q, ref.value(ref.time_grid), u,
+                                 1.0, dt, ew)
+    h = 1e-5
+    central = np.zeros_like(u)
+    for idx in np.ndindex(u.shape):
+        up, um = u.copy(), u.copy()
+        up[idx] += h
+        um[idx] -= h
+        central[idx] = (objective(up) - objective(um)) / (2 * h)
+    np.testing.assert_allclose(adjoint, central, rtol=0, atol=1e-6 * np.abs(central).max())
+
+
+def test_shooting_gradient_finite_with_members_and_gaps_at_zero():
+    # members exactly at 0 (no x^-1 term) and a d_M component exactly at zero
+    # (the subgradient 0 is taken there): the gradient stays finite
+    from momentsteer.tracking import _shooting_gradient
+
+    model, g, x0, basis, q, ref = _shooting_case("output")
+    x0 = np.where(np.arange(g.size) % 3 == 0, 0.0, x0)
+    m_ref = ref.value(ref.time_grid).copy()
+    m_ref[:, 0] = 1.0  # 32 weights of 2^-5: the zeroth gap is exactly zero
+    u = np.zeros((ref.time_grid.size - 1, 1))
+    grad = _shooting_gradient(model, g, x0, basis, q, m_ref, u, 1.0, 0.025, 1e-3)
+    assert np.all(np.isfinite(grad)) and np.abs(grad).max() > 0
+
+
+def test_shooting_gradient_non_finite_forward_raises():
+    from momentsteer.tracking import _shooting_gradient
+
+    model, g, x0, basis, q, ref = _shooting_case("output")
+    u = np.full((ref.time_grid.size - 1, 1), 1e308)
+    with pytest.raises(SolverError, match="forward run"):
+        _shooting_gradient(model, g, x0, basis, q, ref.value(ref.time_grid), u,
+                           1.0, 0.025, 1e-3)
+
+
+def test_shooting_stop_reasons():
+    from momentsteer import member_moments
+    from momentsteer.ensembles import _simulate_segments_batch
+
+    # a reference the uncontrolled ensemble meets exactly: zero gradient
+    n, q, n_int = 50, 3, 4
+    g = make_uniform_grid(n, 0.0, 1.0)
+    x0 = 0.5 + 0.3 * g.nodes
+    states = _simulate_segments_batch(LinearScalar(), x0, g, np.zeros((1, n_int, 1)), 1.0,
+                                      1.0 / n_int / 10)[0]
+    table = member_moments(states, g, MONOMIAL_OUTPUT, q)
+    ref = MomentReference(np.linspace(0.0, 1.0, n_int + 1), table, np.zeros_like(table),
+                          MONOMIAL_OUTPUT)
+    res = direct_shooting(LinearScalar(), g, x0, MONOMIAL_OUTPUT, q, ref,
+                          n_intervals=n_int, energy_weight=0.0, iterations=5)
+    assert res.info["stop_reason"] == "gradient_zero" and res.converged
+    assert res.info["grad_norm_history"].tolist() == [0.0]
+
+    # iterations used up while descent still succeeds
+    model, g, x0, basis, q, ref = _shooting_case("kuramoto")
+    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=2)
+    assert res.info["stop_reason"] == "budget" and not res.converged
+    assert res.info["grad_norm_history"].size == 2 and res.info["step_history"].size == 2
+
+    # the objective is a sum of absolute gaps; descent stalls at its kinks,
+    # where no step passes the sufficient-decrease test
+    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=400)
+    assert res.info["stop_reason"] == "line_search" and not res.converged
+    assert res.info["grad_norm_history"].size == res.info["step_history"].size + 1
+
+
 def test_shooting_descends_kuramoto_smoke():
     n, q, n_int = 48, 6, 8
     g = make_uniform_grid(n, -1.0, 1.0)
