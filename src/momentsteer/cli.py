@@ -55,15 +55,10 @@ class ThresholdViolation(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write the 2-d array ``rows`` under ``header``, every value as %.17g
+    (shortest text that round-trips a float64)."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -79,11 +74,9 @@ def _moment_header(q: int, prefix: str) -> list:
     return cols
 
 
-def _complex_row(vals) -> list:
-    out = []
-    for v in np.atleast_1d(vals):
-        out += [float(np.real(v)), float(np.imag(v))]
-    return out
+def _re_im(m) -> np.ndarray:
+    """Moment rows as interleaved real and imaginary columns."""
+    return np.ascontiguousarray(m, dtype=complex).view(float)
 
 
 def cmd_simulate(scn: Scenario, out: Path) -> int:
@@ -93,8 +86,7 @@ def cmd_simulate(scn: Scenario, out: Path) -> int:
     control = ControlSignal.zeros(model.n_inputs, scn.horizon)
     traj = simulate(model, x0, grid, control, scn.dt)
     header = ["t"] + [f"member_{j}" for j in range(grid.size)]
-    rows = (np.concatenate([[t], s]) for t, s in zip(traj.times, traj.states))
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_csv(out / "trajectory.csv", header, np.column_stack([traj.times, traj.states]))
     return 0
 
 
@@ -102,10 +94,7 @@ def cmd_plan(scn: Scenario, out: Path) -> int:
     grid = scn.build_grid()
     _, ref = scn.build_reference(grid)
     header = ["t"] + _moment_header(scn.q, "m") + _moment_header(scn.q, "dm")
-    rows = (
-        [t] + _complex_row(m) + _complex_row(dm)
-        for t, m, dm in zip(ref.time_grid, ref.m_star, ref.dm_star)
-    )
+    rows = np.column_stack([ref.time_grid, _re_im(ref.m_star), _re_im(ref.dm_star)])
     _write_csv(out / "reference.csv", header, rows)
     return 0
 
@@ -216,22 +205,14 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     _write_csv(
         out / "control.csv",
         ["t"] + [f"u_{i}" for i in range(1, result.control.n_inputs + 1)],
-        (np.concatenate([[t], u]) for t, u in
-         zip(result.control.time_grid[:-1], result.control.values)),
+        np.column_stack([result.control.time_grid[:-1], result.control.values]),
     )
-    _write_csv(
-        out / "moments.csv",
-        ["t"] + _moment_header(scn.q, "m"),
-        ([t] + _complex_row(m) for t, m in zip(result.times, result.moments)),
-    )
-    _write_csv(
-        out / "residual.csv",
-        ["t", "residual"],
-        ((t, r) for t, r in zip(result.times, result.residuals)),
-    )
+    _write_csv(out / "moments.csv", ["t"] + _moment_header(scn.q, "m"),
+               np.column_stack([result.times, _re_im(result.moments)]))
+    _write_csv(out / "residual.csv", ["t", "residual"],
+               np.column_stack([result.times, result.residuals]))
     header = ["t"] + [f"member_{j}" for j in range(grid.size)]
-    _write_csv(out / "trajectory.csv", header,
-               (np.concatenate([[t], s]) for t, s in zip(traj.times, traj.states)))
+    _write_csv(out / "trajectory.csv", header, np.column_stack([traj.times, traj.states]))
 
     # the moment-space residuals cannot see members that blow up in the replay
     replay_max = float(np.max(np.abs(traj.states)))

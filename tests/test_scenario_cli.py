@@ -161,6 +161,25 @@ def test_track_exact_full_row_rank_meets_tolerance(tmp_path):
         assert (out / name).exists()
 
 
+def test_trajectory_csv_round_trip_is_exact(tmp_path):
+    # validate reads the replayed final members back from trajectory.csv; the
+    # %.17g text must give them back bit for bit, and control.csv the control
+    from momentsteer import ControlSignal, simulate
+    from momentsteer.cli import _final_states_from_csv
+
+    path = _write(tmp_path, _case_one_track_scenario(p=5, q=4))
+    out = tmp_path / "round_trip"
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    scn = load_scenario(path)
+    grid = scn.build_grid()
+    rows = np.loadtxt(out / "control.csv", delimiter=",", skiprows=1, ndmin=2)
+    control = ControlSignal(np.append(rows[:, 0], scn.horizon), rows[:, 1:])
+    replay = simulate(scn.build_model(), scn.initial_state(grid), grid, control, scn.dt)
+    final = _final_states_from_csv(out / "trajectory.csv")
+    assert final.tobytes() == replay.states[-1].tobytes()
+    assert np.ptp(np.log10(np.abs(final))) > 1  # values over more than a decade
+
+
 def test_track_exact_threshold_violation_exits_4(tmp_path):
     spec = _case_one_track_scenario(p=5, q=4, thresholds={"max_residual": 1e-13})
     out = tmp_path / "exact_fail"
