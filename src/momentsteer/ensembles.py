@@ -320,8 +320,9 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt):
     """Propagate a batch of piecewise-constant controls, recording segment boundaries.
 
     U has shape (B, n_intervals, p).  Returns states of shape
-    (B, n_intervals + 1, n).  Used by the shooting optimizer, where only the
-    cost-quadrature nodes are needed; semantics match :func:`simulate`.
+    (B, n_intervals + 1, n).  The shooting optimizer reports the moments of
+    its result from this run, where only the cost-quadrature nodes are
+    needed; semantics match :func:`simulate`.
     """
     B, n_int, p = U.shape
     if p != model.n_inputs:

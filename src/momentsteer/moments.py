@@ -81,16 +81,18 @@ def _power_sums(x, w, q: int, trig: bool = False) -> np.ndarray:
     """Sums m_k = sum_j w_j x_j^k (with ``trig``, sum_j w_j exp(-i k x_j)),
     k = 0..q, over the last axis of ``x``, batched over its leading axes; the
     orders form a new trailing axis.  Incremental powers (phase factors) keep
-    every temporary at the shape of ``x``; overflow comes back non-finite."""
+    every temporary at the shape of ``x``; overflow comes back non-finite.
+    The weighted sums are einsum loops, not matrix-vector products: BLAS
+    would spread these small reductions over threads for no gain."""
     x = np.asarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(-1j * x) if trig else x
         acc = np.ones_like(factor)
         out = np.empty(x.shape[:-1] + (q + 1,), dtype=np.result_type(factor, w))
-        out[..., 0] = acc @ w
+        out[..., 0] = np.einsum("...j,j->...", acc, w)
         for k in range(1, q + 1):
             acc = acc * factor
-            out[..., k] = acc @ w
+            out[..., k] = np.einsum("...j,j->...", acc, w)
     return out
 
 

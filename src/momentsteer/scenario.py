@@ -127,6 +127,10 @@ class Scenario:
         method = _need(solver, "method", "solver")
         if method not in ("exact", "tpbvp", "shooting"):
             raise ConfigError(f"unknown solver method '{method}'")
+        for key, low in (("intervals", 1), ("iterations", 0)):
+            value = solver.get(key, low)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"solver.{key} must be an integer >= {low}, got {value!r}")
         thresholds = dict(raw.get("thresholds", {}))
         _check_keys(thresholds, _THRESHOLD_KEYS, "thresholds")
         return cls(

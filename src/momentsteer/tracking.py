@@ -1,8 +1,8 @@
 """Control synthesis for moment tracking: pointwise minimum-norm feedback,
 fixed-endpoint LQ tracking via a shooting-solved boundary value problem, and
-direct shooting for nonlinear ensembles, whose gradient is the exact
-discrete adjoint of its RK4 objective (one forward run and one reverse
-sweep per iteration).
+direct shooting for nonlinear ensembles: L-BFGS-B on an RK4 objective whose
+gradient is its exact discrete adjoint (one forward run and one reverse
+sweep per evaluation).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize
 
 from .ensembles import (
     ControlSignal,
@@ -347,27 +348,27 @@ def tpbvp_optimality_gap(
     return float(np.max(gaps, initial=0.0))
 
 
-# first trial step of the shooting line search
-SEED_STEP = 1.0
-
-
-def _shooting_gradient(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight):
-    """Exact gradient of the discrete shooting objective at the control ``u``
-    (n_intervals, p): one forward RK4 run that records every stage, the
-    cotangents of the boundary moments through d_M and the trapezoid
-    weights, then one reverse sweep through the same steps.  A non-finite forward run or gradient raises
+def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight):
+    """The discrete shooting objective at the control ``u`` (n_intervals, p)
+    and its exact gradient: one forward RK4 run that records every stage,
+    the cotangents of the boundary moments through d_M and the trapezoid
+    weights, then one reverse sweep through the same steps.  Returns
+    ``(J, g)``; a non-finite forward run, cost or gradient raises
     :class:`SolverError`."""
     n_int = u.shape[0]
     h = horizon / n_int
     bounds, pullback = _segments_vjp(model, grid, x0, u, horizon, dt)
     trap = np.full(n_int + 1, h)
     trap[[0, -1]] = h / 2
-    mbar = trap[:, None] * _metric_vjp(member_moments(bounds, grid, basis, q), m_ref)
-    g = pullback(_member_moments_vjp(bounds, grid, basis, q, mbar))
-    g = g + 2 * energy_weight * h * u
+    mom = member_moments(bounds, grid, basis, q)
+    J = float(trap @ moment_metric_values(mom, m_ref)) + energy_weight * h * float((u**2).sum())
+    if not np.isfinite(J):
+        raise SolverError("non-finite shooting cost")
+    mbar = trap[:, None] * _metric_vjp(mom, m_ref)
+    g = pullback(_member_moments_vjp(bounds, grid, basis, q, mbar)) + 2 * energy_weight * h * u
     if not np.all(np.isfinite(g)):
         raise SolverError("non-finite shooting gradient")
-    return g
+    return J, g
 
 
 def direct_shooting(
@@ -383,19 +384,25 @@ def direct_shooting(
     dt: float | None = None,
     initial_guess=None,
 ) -> TrackingResult:
-    """Moment tracking by gradient descent on a piecewise-constant control.
+    """Moment tracking by L-BFGS-B on a piecewise-constant control.
 
     The objective is the trapezoid quadrature of the moment-metric gap to the
     reference at the control-interval boundaries plus a quadratic energy
     term; the moments are those of ``basis``, so any of the three bases can
-    be tracked.  The gradient is the exact gradient of this discrete
-    objective (:func:`_shooting_gradient`); steps use backtracking line
-    search so the cost trace is monotone nonincreasing.  Returns the best
-    iterate.  ``info["stop_reason"]`` is ``"gradient_zero"`` (converged),
-    ``"line_search"`` (no descent step found) or ``"budget"`` (iterations
-    used up); only the first counts as converged.  ``info`` also holds
-    ``cost_history``, ``grad_norm_history`` (one entry per gradient) and
-    ``step_history`` (one accepted step per iteration).
+    be tracked.  Each evaluation returns the objective and its exact
+    gradient (:func:`_shooting_objective`); SciPy's L-BFGS-B (Byrd, Lu,
+    Nocedal & Zhu 1995) takes at most ``iterations`` steps, each ending at a
+    point of sufficient decrease, so the cost trace is monotone
+    nonincreasing.  A trial control whose forward run overflows counts as
+    cost ``inf``; a start that does raises :class:`SolverError`.
+    ``iterations = 0`` reports the start.
+
+    ``info`` holds ``cost_history`` and ``grad_norm_history`` (one entry per
+    accepted iterate, the start included), ``evaluations`` (objective
+    evaluations), ``iterations`` (accepted steps) and ``stop_reason``: ``"gradient_zero"``
+    (the gradient is exactly zero; the only reason that counts as
+    converged), ``"budget"`` (iterations used up) or ``"line_search"``
+    (L-BFGS-B ended abnormally, as it does at the kinks of d_M).
     """
     horizon = float(ref.time_grid[-1] - ref.time_grid[0])
     if dt is None:
@@ -405,71 +412,64 @@ def direct_shooting(
     nodes_t = np.linspace(0.0, horizon, n_intervals + 1) + float(ref.time_grid[0])
     m_ref = ref.value(nodes_t)
 
-    def cost_batch(U):
-        states = _simulate_segments_batch(model, x0, grid, U, horizon, dt)
-        mom = member_moments(states, grid, basis, q)
-        gaps = moment_metric_values(mom, m_ref)
-        track = np.trapezoid(gaps, dx=horizon / n_intervals, axis=1)
-        energy = energy_weight * (U**2).sum(axis=(1, 2)) * (horizon / n_intervals)
-        return track + energy, mom, gaps
-
     if initial_guess is None:
         u = np.zeros((n_intervals, p))
     else:
         u = np.array(initial_guess, dtype=float).reshape(n_intervals, p)
 
-    J, mom, gaps = cost_batch(u[None])
-    J = float(J[0])
-    if not np.isfinite(J):
-        raise SolverError("initial control produces a non-finite cost")
-    history, grad_norms, steps = [J], [], []
-    best = (J, u.copy())
-    step = SEED_STEP
-    stop_reason = "budget"
-    for _ in range(iterations):
-        g = _shooting_gradient(model, grid, x0, basis, q, m_ref, u, horizon, dt,
-                               energy_weight)
-        gnorm = float(np.linalg.norm(g))
-        grad_norms.append(gnorm)
-        if gnorm == 0.0:
-            stop_reason = "gradient_zero"
-            break
-        alpha, accepted = step, False
-        for _ in range(40):
-            try:
-                Jn = float(cost_batch((u - alpha * g)[None])[0][0])
-            except SolverError:
-                Jn = np.inf
-            if np.isfinite(Jn) and Jn < J - 1e-4 * alpha * gnorm**2:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            stop_reason = "line_search"
-            break
-        u = u - alpha * g
-        J = Jn
-        step = min(alpha * 2.0, 1e4)
-        history.append(J)
-        steps.append(alpha)
-        if J < best[0]:
-            best = (J, u.copy())
+    evaluations = []  # (J, |g|, control) of every objective evaluation
 
-    J, u = best
-    _, mom, gaps = cost_batch(u[None])
-    control = ControlSignal(nodes_t, u)
+    def objective(v):
+        try:
+            J, g = _shooting_objective(model, grid, x0, basis, q, m_ref,
+                                       v.reshape(n_intervals, p), horizon, dt, energy_weight)
+        except SolverError as exc:
+            if not evaluations:
+                raise SolverError(f"initial control: {exc}") from None
+            J, g = np.inf, np.zeros((n_intervals, p))
+        evaluations.append((J, float(np.linalg.norm(g)), v.reshape(n_intervals, p).copy()))
+        return J, g.ravel()
+
+    # L-BFGS-B ends every iteration with an evaluation at the accepted point;
+    # it accepts a failed one only after its own arithmetic overflowed
+    accepted = []
+
+    def accept(_):
+        if not np.isfinite(evaluations[-1][0]):
+            raise StopIteration
+        accepted.append(evaluations[-1])
+
+    if iterations > 0:
+        status = minimize(objective, u.ravel(), jac=True, method="L-BFGS-B", callback=accept,
+                          options={"maxiter": iterations, "gtol": 0.0, "ftol": 0.0}).status
+    else:
+        objective(u.ravel())
+        status = 1
+    history = [evaluations[0]] + accepted
+    if status == 1:
+        stop_reason = "budget"
+    elif status == 0 and history[-1][1] == 0.0:
+        stop_reason = "gradient_zero"
+    else:
+        stop_reason = "line_search"
+
+    # the reported moments and gaps come from a forward run without the adjoint
+    u = history[-1][2]
+    states = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt)[0]
+    mom = member_moments(states, grid, basis, q)
+    gaps = moment_metric_values(mom, m_ref)
     return TrackingResult(
-        control,
+        ControlSignal(nodes_t, u),
         nodes_t,
-        mom[0],
-        gaps[0],
-        float(J),
+        mom,
+        gaps,
+        history[-1][0],
         converged=stop_reason == "gradient_zero",
         info={
-            "cost_history": np.array(history),
-            "grad_norm_history": np.array(grad_norms),
-            "step_history": np.array(steps),
-            "iterations": len(history) - 1,
+            "cost_history": np.array([e[0] for e in history]),
+            "grad_norm_history": np.array([e[1] for e in history]),
+            "evaluations": len(evaluations),
+            "iterations": len(accepted),
             "stop_reason": stop_reason,
         },
     )

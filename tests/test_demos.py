@@ -1,6 +1,6 @@
 """Smoke test: the tutorial demos run to completion against the package.
 
-Demo 05 is left out: its 50 shooting iterations take about 12 s.
+Demo 05 is left out: its 50 shooting iterations take about 17 s.
 """
 
 import os

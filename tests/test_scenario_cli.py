@@ -189,16 +189,25 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
     assert summary["threshold_failures"] == ["max_residual"]
 
 
-@pytest.mark.parametrize("name", ["labeled_exact.json", "kuramoto_sync.json"])
-def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name):
+@pytest.mark.parametrize("name, key, value, message", [
+    pytest.param("labeled_exact.json", "dt", 0.003, "dt=0.003", id="labeled_exact.json"),
+    pytest.param("kuramoto_sync.json", "dt", 0.003, "dt=0.003", id="kuramoto_sync.json"),
+    *[pytest.param("kuramoto_sync.json", "intervals", v, "solver.intervals", id=f"intervals={v}")
+      for v in (0, -2, "ten", 2.5, True)],
+    *[pytest.param("kuramoto_sync.json", "iterations", v, "solver.iterations",
+                   id=f"iterations={v}") for v in (-3, "many", 2.5, None)],
+])
+def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name, key, value, message):
+    # also the shooting budget fields: a bad value exits 2 naming the field,
+    # before any work is done
     from pathlib import Path
 
     spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-    spec["dt"] = 0.003
+    (spec if key == "dt" else spec["solver"])[key] = value
     out = tmp_path / "bad_dt"
     code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
     assert code == 2
-    assert "configuration error: dt=0.003" in capsys.readouterr().err
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_track_warns_when_replay_blows_up(tmp_path):

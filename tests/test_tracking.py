@@ -263,7 +263,7 @@ def _shooting_case(kind):
 def test_shooting_adjoint_gradient_matches_central_differences(kind):
     # the objective is re-evaluated independently through simulate and
     # moment_trajectory, then differentiated by central differences
-    from momentsteer.tracking import _shooting_gradient
+    from momentsteer.tracking import _shooting_objective
 
     model, g, x0, basis, q, ref = _shooting_case(kind)
     n_int = ref.time_grid.size - 1
@@ -278,8 +278,9 @@ def test_shooting_adjoint_gradient_matches_central_differences(kind):
         return np.trapezoid(gap, ref.time_grid) + ew * (u**2).sum() / n_int
 
     u = np.random.default_rng(1).uniform(-0.5, 0.5, (n_int, model.n_inputs))
-    adjoint = _shooting_gradient(model, g, x0, basis, q, ref.value(ref.time_grid), u,
-                                 1.0, dt, ew)
+    J, adjoint = _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
+                                     1.0, dt, ew)
+    assert J == pytest.approx(objective(u), rel=1e-12)
     h = 1e-5
     central = np.zeros_like(u)
     for idx in np.ndindex(u.shape):
@@ -293,25 +294,38 @@ def test_shooting_adjoint_gradient_matches_central_differences(kind):
 def test_shooting_gradient_finite_with_members_and_gaps_at_zero():
     # members exactly at 0 (no x^-1 term) and a d_M component exactly at zero
     # (the subgradient 0 is taken there): the gradient stays finite
-    from momentsteer.tracking import _shooting_gradient
+    from momentsteer.tracking import _shooting_objective
 
     model, g, x0, basis, q, ref = _shooting_case("output")
     x0 = np.where(np.arange(g.size) % 3 == 0, 0.0, x0)
     m_ref = ref.value(ref.time_grid).copy()
     m_ref[:, 0] = 1.0  # 32 weights of 2^-5: the zeroth gap is exactly zero
     u = np.zeros((ref.time_grid.size - 1, 1))
-    grad = _shooting_gradient(model, g, x0, basis, q, m_ref, u, 1.0, 0.025, 1e-3)
+    _, grad = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0, 0.025, 1e-3)
     assert np.all(np.isfinite(grad)) and np.abs(grad).max() > 0
 
 
 def test_shooting_gradient_non_finite_forward_raises():
-    from momentsteer.tracking import _shooting_gradient
+    from momentsteer.tracking import _shooting_objective
 
     model, g, x0, basis, q, ref = _shooting_case("output")
     u = np.full((ref.time_grid.size - 1, 1), 1e308)
     with pytest.raises(SolverError, match="forward run"):
-        _shooting_gradient(model, g, x0, basis, q, ref.value(ref.time_grid), u,
-                           1.0, 0.025, 1e-3)
+        _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
+                            1.0, 0.025, 1e-3)
+
+
+def _check_history(res, iterations):
+    """The info contract: one history entry per accepted iterate, start included."""
+    info = res.info
+    assert info["iterations"] == iterations
+    assert info["cost_history"].shape == info["grad_norm_history"].shape == (iterations + 1,)
+    assert info["evaluations"] >= iterations + 1
+    assert np.all(np.isfinite(info["cost_history"]))
+    assert np.all(np.diff(info["cost_history"]) <= 0)
+    assert res.cost == pytest.approx(info["cost_history"].min(), rel=1e-12)
+    assert res.converged == (info["stop_reason"] == "gradient_zero")
+    assert "step_history" not in info
 
 
 def test_shooting_stop_reasons():
@@ -331,18 +345,57 @@ def test_shooting_stop_reasons():
                           n_intervals=n_int, energy_weight=0.0, iterations=5)
     assert res.info["stop_reason"] == "gradient_zero" and res.converged
     assert res.info["grad_norm_history"].tolist() == [0.0]
+    assert res.info["evaluations"] == 1
+    _check_history(res, 0)
+
+    # a zero budget reports the start without a step
+    model, g, x0, basis, q, ref = _shooting_case("kuramoto")
+    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=0)
+    assert res.info["stop_reason"] == "budget" and res.info["evaluations"] == 1
+    assert np.abs(res.control.values).max() == 0.0
+    _check_history(res, 0)
 
     # iterations used up while descent still succeeds
-    model, g, x0, basis, q, ref = _shooting_case("kuramoto")
     res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=2)
     assert res.info["stop_reason"] == "budget" and not res.converged
-    assert res.info["grad_norm_history"].size == 2 and res.info["step_history"].size == 2
+    _check_history(res, 2)
 
-    # the objective is a sum of absolute gaps; descent stalls at its kinks,
-    # where no step passes the sufficient-decrease test
+    # the objective is a sum of absolute gaps; L-BFGS-B ends abnormally at
+    # its kinks, where no step passes the line search
     res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=400)
     assert res.info["stop_reason"] == "line_search" and not res.converged
-    assert res.info["grad_norm_history"].size == res.info["step_history"].size + 1
+    _check_history(res, res.info["iterations"])
+    assert 0 < res.info["iterations"] < 400
+
+
+def test_shooting_survives_overflowing_trial(monkeypatch):
+    # fast members (rates up to 60) from rest: the start is finite, but the
+    # first trial step moves the members so far that x^16 overflows; that
+    # trial counts as cost inf and the run ends cleanly
+    from momentsteer import tracking
+
+    failures = []
+
+    def spy(*args):
+        try:
+            return objective(*args)
+        except SolverError:
+            failures.append(args[6].copy())
+            raise
+
+    objective = tracking._shooting_objective
+    monkeypatch.setattr(tracking, "_shooting_objective", spy)
+    q, n_int = 16, 4
+    g = make_uniform_grid(8, 0.0, 60.0)
+    table = np.tile(2.0 ** np.arange(q + 1), (n_int + 1, 1))
+    ref = MomentReference(np.linspace(0.0, 1.0, n_int + 1), table, np.zeros_like(table),
+                          MONOMIAL_OUTPUT)
+    res = direct_shooting(LinearScalar(1), g, np.zeros(8), MONOMIAL_OUTPUT, q, ref,
+                          n_intervals=n_int, iterations=30)
+    assert failures and all(np.all(np.isfinite(u)) for u in failures)
+    assert res.info["stop_reason"] in ("line_search", "budget")
+    _check_history(res, res.info["iterations"])
+    assert np.all(np.isfinite(res.control.values))
 
 
 def test_shooting_descends_kuramoto_smoke():
