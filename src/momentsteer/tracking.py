@@ -399,10 +399,11 @@ def direct_shooting(
 
     ``info`` holds ``cost_history`` and ``grad_norm_history`` (one entry per
     accepted iterate, the start included), ``evaluations`` (objective
-    evaluations), ``iterations`` (accepted steps) and ``stop_reason``: ``"gradient_zero"``
-    (the gradient is exactly zero; the only reason that counts as
-    converged), ``"budget"`` (iterations used up) or ``"line_search"``
-    (L-BFGS-B ended abnormally, as it does at the kinks of d_M).
+    evaluations), ``iterations`` (accepted steps) and ``stop_reason``:
+    ``"gradient_zero"`` (the gradient is exactly zero; the only reason that
+    counts as converged), ``"budget"`` (iterations used up) or
+    ``"line_search"`` (L-BFGS-B ended abnormally, as it does at the kinks
+    of d_M).
     """
     horizon = float(ref.time_grid[-1] - ref.time_grid[0])
     if dt is None:
