@@ -259,22 +259,32 @@ def _target_power_moments(target, q: int) -> np.ndarray:
 
 
 def _final_states_from_csv(path: Path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("t,"):
-            raise ConfigError(f"{path} is not a trajectory file")
-        last = None
-        for line in fh:
-            if line.strip():
-                last = line
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("t,"):
+                raise ConfigError(f"{path} is not a trajectory file")
+            last = None
+            for line in fh:
+                if line.strip():
+                    last = line
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     if last is None:
         raise ConfigError(f"{path} contains no data rows")
-    return np.array([float(v) for v in last.strip().split(",")])[1:]
+    try:
+        final = np.array([float(v) for v in last.strip().split(",")])[1:]
+    except ValueError as exc:
+        raise ConfigError(f"{path}, last row: {exc}") from None
+    if not np.all(np.isfinite(final)):
+        raise ConfigError(f"{path}, last row: member values must be finite")
+    return final
 
 
 def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> int:
     grid = scn.build_grid()
-    final = _final_states_from_csv(results / "trajectory.csv")
+    path = results / "trajectory.csv"
+    final = _final_states_from_csv(path)
     if final.size != grid.size:
         raise ConfigError("trajectory members do not match the scenario grid")
     if scn.target is None:
@@ -293,13 +303,13 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         r_final, _ = mean_field(final, grid)
         payload["final_order_parameter"] = float(r_final)
     elif scn.basis == MONOMIAL_OUTPUT:
+        m_final = member_moments(final, grid, MONOMIAL_OUTPUT, scn.q)
+        if not np.all(np.isfinite(m_final)):
+            raise SolverError(f"order-{scn.q} moments of the final states in {path} overflow")
         target = scn.resolve_measure(scn.target, "target")
-        mu_final = pushforward(grid, final)
-        sampled = sample_empirical(mu_final, scn.samples, rng)
+        sampled = sample_empirical(pushforward(grid, final), scn.samples, rng)
         payload["w2"] = wasserstein(sampled, target)
-        m_final = moments_output(mu_final, scn.q)
-        m_target = _target_power_moments(target, scn.q)
-        payload["d_m"] = moment_metric_values(m_final.values, m_target)
+        payload["d_m"] = moment_metric_values(m_final, _target_power_moments(target, scn.q))
     else:
         target = scn.resolve_measure(scn.target, "target")
         clipped = np.clip(final, 0.0, None)

@@ -4,7 +4,9 @@ An ensemble is a family of scalar units indexed by a parameter drawn from a
 compact interval, all driven by one broadcast input.  Two model kinds are
 provided: a multi-input scalar linear family (rate parameter times state plus
 a polynomial-in-parameter input profile) and globally coupled Kuramoto phase
-oscillators actuated through ``u * sin(theta)``.
+oscillators actuated through ``u * sin(theta)``.  Every run, single or
+batched, replayed or recorded for the adjoint, takes its RK4 steps in one
+loop, :func:`_simulate_segments_batch`.
 """
 
 from __future__ import annotations
@@ -171,13 +173,14 @@ def _profile(model: LinearScalar, grid: ParameterGrid) -> np.ndarray:
     return grid.nodes[None, :] ** np.arange(model.n_inputs)[:, None]
 
 
-def _drive(model, grid: ParameterGrid, u) -> np.ndarray:
-    """Input term of one control segment, batched over leading axes of ``u``:
-    ``u @ profile`` with rows beta^(i-1) for the linear family, u_1 for
-    Kuramoto."""
+def _drive(model, grid: ParameterGrid):
+    """Input term of a control segment as a function of its control ``u``,
+    batched over leading axes: ``u @ profile`` with rows beta^(i-1) for the
+    linear family, u_1 for Kuramoto."""
     if isinstance(model, LinearScalar):
-        return u @ _profile(model, grid)
-    return u[..., :1]
+        profile = _profile(model, grid)
+        return lambda u: u @ profile
+    return lambda u: u[..., :1]
 
 
 def _field(model, grid: ParameterGrid):
@@ -217,25 +220,9 @@ def _field_vjp(model, grid: ParameterGrid):
     return kuramoto
 
 
-def _rk4_steps(f, x, drives, per: int, dt: float, wrap: bool):
-    """Yield the state after every classical RK4 step: ``per`` steps under
-    each drive of ``drives`` in turn, phases wrapped to [0, 2*pi) when
-    ``wrap`` is set.  The stages stay alive from one step to the next, so
-    large batches reuse their buffers rather than return them to the OS."""
-    for drive in drives:
-        for _ in range(per):
-            k1 = f(x, drive)
-            k2 = f(x + dt / 2 * k1, drive)
-            k3 = f(x + dt / 2 * k2, drive)
-            k4 = f(x + dt * k3, drive)
-            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if wrap:
-                x = np.mod(x, 2 * np.pi)
-            yield x
-
-
 def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
-    """Reverse sweep of :func:`_rk4_steps`: the exact discrete adjoint.
+    """Reverse sweep of the RK4 loop of :func:`_simulate_segments_batch`: the
+    exact discrete adjoint.
 
     ``stages`` holds the four stage inputs of every forward step in order,
     ``seeds`` the cotangents of the states at the segment boundaries (one row
@@ -264,7 +251,7 @@ def rhs(model, state: EnsembleState, grid: ParameterGrid, u) -> np.ndarray:
         raise ValueError("state length must equal grid size")
     if u.size != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} control values, got {u.size}")
-    return _field(model, grid)(state.x, _drive(model, grid, u))
+    return _field(model, grid)(state.x, _drive(model, grid)(u))
 
 
 def _steps_per_interval(interval: float, dt: float) -> int:
@@ -284,7 +271,7 @@ def simulate(model, x0, grid: ParameterGrid, control: ControlSignal, dt: float) 
     the interval length.  Kuramoto phases are wrapped to [0, 2*pi) after every
     step.  The run is deterministic: identical inputs give identical output.
     """
-    x = (x0.x if isinstance(x0, EnsembleState) else np.asarray(x0, dtype=float)).copy()
+    x = x0.x if isinstance(x0, EnsembleState) else np.asarray(x0, dtype=float)
     if x.shape != grid.nodes.shape:
         raise ValueError("initial state length must equal grid size")
     if not np.all(np.isfinite(x)):
@@ -298,76 +285,67 @@ def simulate(model, x0, grid: ParameterGrid, control: ControlSignal, dt: float) 
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    n_int = control.values.shape[0]
-    per = _steps_per_interval(horizon / n_int, dt)
-    f, wrap = _field(model, grid), isinstance(model, Kuramoto)
-    drives = (_drive(model, grid, u) for u in control.values)
-
-    n_steps = per * n_int
-    out = np.empty((n_steps + 1, x.size))
-    out[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, x in enumerate(_rk4_steps(f, x, drives, per, dt, wrap), start=1):
-            if not np.all(np.isfinite(x)):
-                t_bad = control.time_grid[0] + row * dt
-                raise SolverError(f"non-finite state at t={t_bad:.6g}")
-            out[row] = x
-    times = control.time_grid[0] + dt * np.arange(n_steps + 1)
-    return Trajectory(times, out, grid)
+    per = _steps_per_interval(horizon / control.values.shape[0], dt)
+    # one segment per step, so every state is a recorded boundary
+    U = np.repeat(control.values, per, axis=0)[None]
+    states = _simulate_segments_batch(model, x, grid, U, horizon, dt)[0]
+    times = control.time_grid[0] + dt * np.arange(states.shape[0])
+    return Trajectory(times, states, grid)
 
 
-def _simulate_segments_batch(model, x0, grid, U, horizon, dt):
-    """Propagate a batch of piecewise-constant controls, recording segment boundaries.
+def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
+    """The package's one ensemble forward loop: classical fixed-step RK4 for a
+    batch of piecewise-constant controls, sampled at the segment boundaries.
 
-    U has shape (B, n_intervals, p).  Returns states of shape
-    (B, n_intervals + 1, n).  The shooting optimizer reports the moments of
-    its result from this run, where only the cost-quadrature nodes are
-    needed; semantics match :func:`simulate`.
+    U has shape (B, n_intervals, p) and ``dt`` must divide each interval;
+    returns states of shape (B, n_intervals + 1, n).  Kuramoto phases are
+    wrapped to [0, 2*pi) after every step.  A list passed as ``stages``
+    receives the four stage inputs of every step, in order, for
+    :func:`_rk4_adjoint`.  A non-finite state raises :class:`SolverError` at
+    the first boundary where it appears, with its time from the run's start.
     """
     B, n_int, p = U.shape
     if p != model.n_inputs:
         raise ValueError("control channel count must match the model input count")
     per = _steps_per_interval(horizon / n_int, dt)
-    f, wrap = _field(model, grid), isinstance(model, Kuramoto)
-    drives = (_drive(model, grid, U[:, seg]) for seg in range(n_int))
+    f, drive_of, wrap = _field(model, grid), _drive(model, grid), isinstance(model, Kuramoto)
+    if stages is not None:
+        field_ = f
+
+        def f(x, drive):
+            stages.append(x)
+            return field_(x, drive)
+
     x = np.broadcast_to(np.asarray(x0, dtype=float), (B, grid.size))
     out = np.empty((B, n_int + 1, grid.size))
     out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, x in enumerate(_rk4_steps(f, x, drives, per, dt, wrap), start=1):
-            if step % per == 0:
-                out[:, step // per] = x
-    if not np.all(np.isfinite(out)):
-        raise SolverError("non-finite state in batched simulation")
+        for seg in range(n_int):
+            drive = drive_of(U[:, seg])
+            for _ in range(per):
+                k1 = f(x, drive)
+                k2 = f(x + dt / 2 * k1, drive)
+                k3 = f(x + dt / 2 * k2, drive)
+                k4 = f(x + dt * k3, drive)
+                x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                if wrap:
+                    x = np.mod(x, 2 * np.pi)
+            if not np.all(np.isfinite(x)):
+                t_bad = (seg + 1) * per * dt
+                raise SolverError(f"non-finite state in the forward run at t={t_bad:.6g}")
+            out[:, seg + 1] = x
     return out
 
 
 def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
-    """Forward run of one piecewise-constant control ``u`` (n_intervals, p)
-    that records the input of every RK4 stage.
-
-    Returns the states at the segment boundaries, shape (n_intervals + 1, n),
-    and the pullback that maps their cotangents to the cotangent of ``u``
-    through one reverse sweep (:func:`_rk4_adjoint`).  Semantics match
-    :func:`_simulate_segments_batch` for a batch of one."""
-    n_int = u.shape[0]
-    per = _steps_per_interval(horizon / n_int, dt)
-    f, wrap = _field(model, grid), isinstance(model, Kuramoto)
-    drives = _drive(model, grid, u)
-    stages = []
-
-    def recorded(x, drive):
-        stages.append(x)
-        return f(x, drive)
-
-    bounds = np.empty((n_int + 1, grid.size))
-    bounds[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step, x in enumerate(_rk4_steps(recorded, bounds[0], drives, per, dt, wrap), start=1):
-            if step % per == 0:
-                bounds[step // per] = x
-    if not np.all(np.isfinite(bounds)):
-        raise SolverError("non-finite state in the forward run of the adjoint")
+    """Forward run of one control ``u`` (n_intervals, p) that records every RK4
+    stage input; returns the boundary states (n_intervals + 1, n) and the
+    pullback mapping their cotangents to that of ``u`` (:func:`_rk4_adjoint`)."""
+    recorded = []
+    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=recorded)[0]
+    stages = [x[0] for x in recorded]  # stage inputs of the batch of one
+    per = _steps_per_interval(horizon / u.shape[0], dt)
+    drives = _drive(model, grid)(u)
 
     def pullback(seeds):
         dbar = _rk4_adjoint(_field_vjp(model, grid), stages, drives, per, dt, seeds)

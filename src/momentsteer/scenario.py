@@ -9,6 +9,7 @@ name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,12 @@ _SOLVER_KEYS = {
     "optimize_dt",
     "optimize_members",
 }
+# optional numeric fields: (section, key, lowest value, integer, bound strict)
+_NUMBERS = [("model", "inputs", 1, True, False), ("model", "coupling", 0, False, False),
+            ("solver", "intervals", 1, True, False), ("solver", "iterations", 0, True, False),
+            ("solver", "r_scale", 0, False, True), ("solver", "energy_weight", 0, False, False),
+            ("solver", "guess_ridge", 0, False, True), ("solver", "optimize_dt", 0, False, True),
+            ("solver", "optimize_members", 2, True, False)]
 _THRESHOLD_KEYS = {"max_residual", "boundary_residual", "final_order_parameter", "w2", "cost"}
 _TOP_KEYS = {
     "model",
@@ -74,6 +81,18 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(value, name: str, low: float = -math.inf, integer: bool = False,
+            strict: bool = False):
+    """``value`` if it is a finite number (an integer if ``integer``) of at
+    least ``low`` (above it if ``strict``); else a ConfigError naming ``name``."""
+    ok = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+    if not (ok and (integer or math.isfinite(value)) and (value > low if strict else value >= low)):
+        kind = "an integer" if integer else "a finite number"
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
+    return value
+
+
 @dataclass
 class Scenario:
     """Validated scenario: everything a pipeline run needs, nothing implicit."""
@@ -102,8 +121,9 @@ class Scenario:
             raise ConfigError(f"unknown model kind '{kind}'")
         grid = dict(_need(raw, "grid", "scenario"))
         _check_keys(grid, _GRID_KEYS, "grid")
-        for k in ("members", "lo", "hi"):
-            _need(grid, k, "grid")
+        _number(_need(grid, "members", "grid"), "grid.members", 2, integer=True)
+        for k in ("lo", "hi"):
+            _number(_need(grid, k, "grid"), f"grid.{k}")
         initial = dict(_need(raw, "initial", "scenario"))
         _check_keys(initial, _MEASURE_KEYS, "initial")
         target = raw.get("target")
@@ -113,24 +133,20 @@ class Scenario:
         basis = _need(raw, "basis", "scenario")
         if basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
             raise ConfigError(f"unknown basis '{basis}'")
-        q = int(_need(raw, "q", "scenario"))
-        if not 1 <= q <= 16:
+        q = _number(_need(raw, "q", "scenario"), "q", 1, integer=True)
+        if q > 16:
             raise ConfigError("q must lie in [1, 16]")
-        horizon = float(_need(raw, "horizon", "scenario"))
-        if horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
-        dt = float(_need(raw, "dt", "scenario"))
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
+        horizon = float(_number(_need(raw, "horizon", "scenario"), "horizon", 0))
+        dt = float(_number(_need(raw, "dt", "scenario"), "dt", 0, strict=True))
         solver = dict(_need(raw, "solver", "scenario"))
         _check_keys(solver, _SOLVER_KEYS, "solver")
         method = _need(solver, "method", "solver")
         if method not in ("exact", "tpbvp", "shooting"):
             raise ConfigError(f"unknown solver method '{method}'")
-        for key, low in (("intervals", 1), ("iterations", 0)):
-            value = solver.get(key, low)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"solver.{key} must be an integer >= {low}, got {value!r}")
+        sections = {"model": model, "solver": solver}
+        for where, key, low, integer, strict in _NUMBERS:
+            if key in sections[where]:
+                _number(sections[where][key], f"{where}.{key}", low, integer, strict)
         thresholds = dict(raw.get("thresholds", {}))
         _check_keys(thresholds, _THRESHOLD_KEYS, "thresholds")
         return cls(
@@ -144,30 +160,15 @@ class Scenario:
             solver=solver,
             target=target,
             thresholds=thresholds,
-            seed=int(raw.get("seed", 0)),
-            samples=int(raw.get("samples", 1000)),
-            reference_points=int(raw.get("reference_points", 201)),
+            seed=_number(raw.get("seed", 0), "seed", 0, integer=True),
+            samples=_number(raw.get("samples", 1000), "samples", 1, integer=True),
+            reference_points=_number(raw.get("reference_points", 201), "reference_points", 2,
+                                     integer=True),
         )
 
     def to_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "grid": self.grid,
-            "initial": self.initial,
-            "basis": self.basis,
-            "q": self.q,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "solver": self.solver,
-        }
-        if self.target is not None:
-            out["target"] = self.target
-        if self.thresholds:
-            out["thresholds"] = self.thresholds
-        out["seed"] = self.seed
-        out["samples"] = self.samples
-        out["reference_points"] = self.reference_points
-        return out
+        """The scenario as a JSON object; an absent target or empty thresholds are left out."""
+        return {k: v for k, v in vars(self).items() if v is not None and v != {}}
 
     def build_model(self):
         if self.model["kind"] == "linear":
@@ -268,7 +269,10 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario {path}: {exc.strerror}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -428,7 +428,9 @@ def direct_shooting(
             if not evaluations:
                 raise SolverError(f"initial control: {exc}") from None
             J, g = np.inf, np.zeros((n_intervals, p))
-        evaluations.append((J, float(np.linalg.norm(g)), v.reshape(n_intervals, p).copy()))
+        scale = float(np.abs(g).max())  # the norm of g / max|g| cannot overflow
+        norm = scale * float(np.linalg.norm(g / scale)) if scale > 0 else 0.0
+        evaluations.append((J, norm, v.reshape(n_intervals, p).copy()))
         return J, g.ravel()
 
     # L-BFGS-B ends every iteration with an evaluation at the accepted point;

@@ -192,18 +192,33 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
 @pytest.mark.parametrize("name, key, value, message", [
     pytest.param("labeled_exact.json", "dt", 0.003, "dt=0.003", id="labeled_exact.json"),
     pytest.param("kuramoto_sync.json", "dt", 0.003, "dt=0.003", id="kuramoto_sync.json"),
-    *[pytest.param("kuramoto_sync.json", "intervals", v, "solver.intervals", id=f"intervals={v}")
-      for v in (0, -2, "ten", 2.5, True)],
-    *[pytest.param("kuramoto_sync.json", "iterations", v, "solver.iterations",
+    *[pytest.param("kuramoto_sync.json", "solver.intervals", v, "solver.intervals",
+                   id=f"intervals={v}") for v in (0, -2, "ten", 2.5, True)],
+    *[pytest.param("kuramoto_sync.json", "solver.iterations", v, "solver.iterations",
                    id=f"iterations={v}") for v in (-3, "many", 2.5, None)],
+    *[pytest.param("labeled_fixed_endpoint.json", key, v, key, id=f"{key}={v}")
+      for key, v in (("q", "eight"), ("q", 2.5), ("horizon", "long"), ("horizon", -1.0),
+                     ("dt", "fine"), ("seed", -1), ("samples", 0), ("reference_points", 1.5),
+                     ("grid.members", "many"), ("grid.members", 1), ("grid.lo", None),
+                     ("grid.hi", "one"), ("model.inputs", "four"),
+                     ("solver.r_scale", -1), ("solver.r_scale", "big"))],
+    *[pytest.param("unlabeled_shooting.json", f"solver.{key}", v, f"solver.{key}",
+                   id=f"{key}={v}")
+      for key, v in (("energy_weight", "small"), ("energy_weight", -1e-3),
+                     ("optimize_dt", "fine"), ("optimize_dt", 0.0), ("guess_ridge", 0),
+                     ("optimize_members", "few"), ("optimize_members", 1))],
 ])
 def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name, key, value, message):
-    # also the shooting budget fields: a bad value exits 2 naming the field,
-    # before any work is done
+    # also every numeric scenario field: a bad value exits 2 naming the
+    # field, before any work is done
     from pathlib import Path
 
     spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-    (spec if key == "dt" else spec["solver"])[key] = value
+    *path, field = key.split(".")
+    section = spec
+    for part in path:
+        section = section[part]
+    section[field] = value
     out = tmp_path / "bad_dt"
     code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
     assert code == 2
@@ -372,3 +387,35 @@ def test_validate_seeded_sampling_reproducible(tmp_path):
     first = (out / "validation.json").read_bytes()
     main(["validate", "--scenario", str(path), "--out", str(out), "--seed", "5"])
     assert (out / "validation.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("case", ["cell_abc", "cell_nan", "no_trajectory", "moment_overflow"])
+def test_validate_input_faults_exit_with_documented_code(tmp_path, capsys, case):
+    # faults in validate's inputs exit 2 (configuration) or 3 (moment
+    # overflow) with a message naming the file or cause, never a traceback;
+    # a missing scenario file is covered for every subcommand below
+    spec = _linear_sim_scenario(q=8, grid={"members": 4, "lo": 0.0, "hi": 1.0})
+    path = _write(tmp_path, spec)
+    out = tmp_path / "val"
+    out.mkdir()
+    value = {"cell_abc": "abc", "cell_nan": "nan", "moment_overflow": "1e300"}.get(case, "0.5")
+    if case != "no_trajectory":
+        (out / "trajectory.csv").write_text(
+            "t,member_0,member_1,member_2,member_3\n" + f"1.0,0.5,{value},0.5,0.5\n")
+    code = main(["validate", "--scenario", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    expected = {
+        "cell_abc": (2, "trajectory.csv, last row: could not convert string to float: 'abc'"),
+        "cell_nan": (2, "trajectory.csv, last row: member values must be finite"),
+        "no_trajectory": (2, "cannot read " + str(out / "trajectory.csv")),
+        "moment_overflow": (3, "order-8 moments of the final states in"),
+    }[case]
+    assert code == expected[0]
+    assert expected[1] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan", "track", "validate"])
+def test_missing_scenario_file_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "nope.json"
+    assert main([command, "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
+    assert f"configuration error: cannot read scenario {missing}" in capsys.readouterr().err

@@ -398,6 +398,24 @@ def test_shooting_survives_overflowing_trial(monkeypatch):
     assert np.all(np.isfinite(res.control.values))
 
 
+def test_shooting_grad_norm_history_finite_for_huge_gradients():
+    # fast members (rates up to 30) at 0.5 and q = 16: the gradient at the
+    # start is about 6.7e183, whose squared entries overflow a plain norm
+    import warnings
+
+    q, n_int = 16, 4
+    g = make_uniform_grid(8, 0.0, 30.0)
+    table = np.tile(2.0 ** np.arange(q + 1), (n_int + 1, 1))
+    ref = MomentReference(np.linspace(0.0, 1.0, n_int + 1), table, np.zeros_like(table),
+                          MONOMIAL_OUTPUT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = direct_shooting(LinearScalar(1), g, np.full(8, 0.5), MONOMIAL_OUTPUT, q, ref,
+                              n_intervals=n_int, iterations=10)
+    norms = res.info["grad_norm_history"]
+    assert np.all(np.isfinite(norms)) and norms[0] > 1e154
+
+
 def test_shooting_descends_kuramoto_smoke():
     n, q, n_int = 48, 6, 8
     g = make_uniform_grid(n, -1.0, 1.0)
