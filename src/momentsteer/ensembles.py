@@ -11,6 +11,7 @@ loop, :func:`_simulate_segments_batch`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,8 +165,8 @@ def make_uniform_grid(n: int, lo: float, hi: float) -> ParameterGrid:
 def mean_field(state, grid: ParameterGrid):
     """Weighted circular mean: returns (r, psi) with r e^{i psi} = sum_j w_j e^{i theta_j}."""
     x = state.x if isinstance(state, EnsembleState) else np.asarray(state, dtype=float)
-    z = np.sum(grid.weights * np.exp(1j * x))
-    return min(float(np.abs(z)), 1.0), float(np.angle(z))
+    zr, zi = float(np.cos(x) @ grid.weights), float(np.sin(x) @ grid.weights)
+    return min(math.hypot(zr, zi), 1.0), math.atan2(zi, zr)
 
 
 def _profile(model: LinearScalar, grid: ParameterGrid) -> np.ndarray:
@@ -176,46 +177,54 @@ def _profile(model: LinearScalar, grid: ParameterGrid) -> np.ndarray:
 def _drive(model, grid: ParameterGrid):
     """Input term of a control segment as a function of its control ``u``,
     batched over leading axes: ``u @ profile`` with rows beta^(i-1) for the
-    linear family, u_1 for Kuramoto."""
+    linear family, the scalar u_1 for Kuramoto."""
     if isinstance(model, LinearScalar):
         profile = _profile(model, grid)
         return lambda u: u @ profile
-    return lambda u: u[..., :1]
+    return lambda u: u[..., 0]
 
 
 def _field(model, grid: ParameterGrid):
-    """Right-hand side f(x, drive) of the model, batched over leading axes of x."""
+    """Right-hand side f(x, drive) of the model at one member vector ``x``.
+
+    Kuramoto is written in cos/sin form: with z = sum_j w_j e^{i x_j} =
+    zr + i zi and r = min(|z|, 1), K r sin(psi - x) equals
+    k (zi cos x - zr sin x) with k = K / max(|z|, 1), so the clip is kept and
+    the coupling vanishes at z = 0."""
     nodes = grid.nodes
     if isinstance(model, LinearScalar):
         return lambda x, drive: nodes * x + drive
     K, w = model.coupling, grid.weights
 
     def kuramoto(x, drive):
-        z = np.sum(w * np.exp(1j * x), axis=-1, keepdims=True)
-        r, psi = np.minimum(np.abs(z), 1.0), np.angle(z)
-        return nodes + K * r * np.sin(psi - x) + drive * np.sin(x)
+        c, s = np.cos(x), np.sin(x)
+        zr, zi = float(c @ w), float(s @ w)
+        k = K / max(math.hypot(zr, zi), 1.0)
+        return nodes + (k * zi) * c + (drive - k * zr) * s
 
     return kuramoto
 
 
 def _field_vjp(model, grid: ParameterGrid):
-    """Vector-Jacobian product of :func:`_field` at one state ``x`` (1-d):
+    """Vector-Jacobian product of :func:`_field` at one member vector ``x``:
     maps a cotangent ``b`` of f(x, drive) to the cotangents of ``x`` and
     ``drive``.
 
-    Linear family: (beta * b, b).  Kuramoto, with z = sum_j w_j e^{i x_j}:
-    b (-K Re(z e^{-ix}) + drive cos x) + K w Re(e^{ix} sum_j b_j e^{-i x_j}),
-    and sum_j b_j sin x_j for the drive, written out in cos x and sin x."""
+    Linear family: (beta * b, b), which does not read ``x``.  Kuramoto, of
+    the unclipped field, in cos/sin form with the mean-field sums
+    zr + i zi = sum_j w_j e^{i x_j} as floats:
+    b ((drive - K zr) cos x - K zi sin x) + K w (cos x sum_j b_j cos x_j +
+    sin x sum_j b_j sin x_j), and the float sum_j b_j sin x_j for the drive."""
     nodes = grid.nodes
     if isinstance(model, LinearScalar):
         return lambda x, drive, b: (nodes * b, b)
     K, w = model.coupling, grid.weights
+    Kw = K * w
 
     def kuramoto(x, drive, b):
         c, s = np.cos(x), np.sin(x)
-        bs = b @ s
-        xbar = b * (drive * c - K * ((c @ w) * c + (s @ w) * s)) + K * w * ((b @ c) * c + bs * s)
-        return xbar, bs
+        zr, zi, bc, bs = float(c @ w), float(s @ w), float(b @ c), float(b @ s)
+        return b * ((drive - K * zr) * c - (K * zi) * s) + Kw * (bc * c + bs * s), bs
 
     return kuramoto
 
@@ -224,8 +233,9 @@ def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
     """Reverse sweep of the RK4 loop of :func:`_simulate_segments_batch`: the
     exact discrete adjoint.
 
-    ``stages`` holds the four stage inputs of every forward step in order,
-    ``seeds`` the cotangents of the states at the segment boundaries (one row
+    ``stages`` holds the four stage inputs of every forward step in order, or
+    is ``None`` when ``vjp`` does not read them (the linear family); ``seeds``
+    holds the cotangents of the states at the segment boundaries (one row
     per boundary).  Returns the cotangent of each segment's drive.  The phase
     wrap has identity derivative."""
     xbar = seeds[-1]
@@ -233,7 +243,7 @@ def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
     for seg in range(len(drives) - 1, -1, -1):
         d = drives[seg]
         for n in range(per * (seg + 1) - 1, per * seg - 1, -1):
-            x, y2, y3, y4 = stages[4 * n : 4 * n + 4]
+            x, y2, y3, y4 = (None,) * 4 if stages is None else stages[4 * n : 4 * n + 4]
             b4, g4 = vjp(y4, d, dt / 6 * xbar)
             b3, g3 = vjp(y3, d, dt / 3 * xbar + dt * b4)
             b2, g2 = vjp(y2, d, dt / 3 * xbar + dt / 2 * b3)
@@ -298,11 +308,14 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
     batch of piecewise-constant controls, sampled at the segment boundaries.
 
     U has shape (B, n_intervals, p) and ``dt`` must divide each interval;
-    returns states of shape (B, n_intervals + 1, n).  Kuramoto phases are
-    wrapped to [0, 2*pi) after every step.  A list passed as ``stages``
-    receives the four stage inputs of every step, in order, for
-    :func:`_rk4_adjoint`.  A non-finite state raises :class:`SolverError` at
-    the first boundary where it appears, with its time from the run's start.
+    returns states of shape (B, n_intervals + 1, n).  Each batch row is
+    integrated on its own as one 1-d member vector, so a row equals the run
+    of its control alone, bit for bit.  Kuramoto phases are wrapped to
+    [0, 2*pi) after every step.  A list passed as ``stages`` receives the
+    four stage inputs of every step, in order, for :func:`_rk4_adjoint`
+    (pass it with B = 1).  A non-finite state raises :class:`SolverError` at
+    the first boundary of a row where it appears, with its time from the
+    run's start.
     """
     B, n_int, p = U.shape
     if p != model.n_inputs:
@@ -316,34 +329,35 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
             stages.append(x)
             return field_(x, drive)
 
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (B, grid.size))
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), grid.nodes.shape)
     out = np.empty((B, n_int + 1, grid.size))
-    out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg in range(n_int):
-            drive = drive_of(U[:, seg])
-            for _ in range(per):
-                k1 = f(x, drive)
-                k2 = f(x + dt / 2 * k1, drive)
-                k3 = f(x + dt / 2 * k2, drive)
-                k4 = f(x + dt * k3, drive)
-                x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                if wrap:
-                    x = np.mod(x, 2 * np.pi)
-            if not np.all(np.isfinite(x)):
-                t_bad = (seg + 1) * per * dt
-                raise SolverError(f"non-finite state in the forward run at t={t_bad:.6g}")
-            out[:, seg + 1] = x
+        for row in range(B):
+            x = out[row, 0] = x0
+            for seg in range(n_int):
+                drive = drive_of(U[row, seg])
+                for _ in range(per):
+                    k1 = f(x, drive)
+                    k2 = f(x + dt / 2 * k1, drive)
+                    k3 = f(x + dt / 2 * k2, drive)
+                    k4 = f(x + dt * k3, drive)
+                    x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                    if wrap:
+                        x = np.mod(x, 2 * np.pi)
+                if not np.all(np.isfinite(x)):
+                    t_bad = (seg + 1) * per * dt
+                    raise SolverError(f"non-finite state in the forward run at t={t_bad:.6g}")
+                out[row, seg + 1] = x
     return out
 
 
 def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
-    """Forward run of one control ``u`` (n_intervals, p) that records every RK4
-    stage input; returns the boundary states (n_intervals + 1, n) and the
-    pullback mapping their cotangents to that of ``u`` (:func:`_rk4_adjoint`)."""
-    recorded = []
-    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=recorded)[0]
-    stages = [x[0] for x in recorded]  # stage inputs of the batch of one
+    """Forward run of one control ``u`` (n_intervals, p); returns the boundary
+    states (n_intervals + 1, n) and the pullback mapping their cotangents to
+    that of ``u`` (:func:`_rk4_adjoint`).  For Kuramoto the run records every
+    RK4 stage input; the linear family's VJP reads none, so none are kept."""
+    stages = [] if isinstance(model, Kuramoto) else None
+    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=stages)[0]
     per = _steps_per_interval(horizon / u.shape[0], dt)
     drives = _drive(model, grid)(u)
 
@@ -351,6 +365,6 @@ def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
         dbar = _rk4_adjoint(_field_vjp(model, grid), stages, drives, per, dt, seeds)
         if isinstance(model, LinearScalar):
             return dbar @ _profile(model, grid).T
-        return dbar  # Kuramoto's drive is column 0 of its one-column control
+        return dbar[:, None]  # Kuramoto's drive is u_1, its one control column
 
     return bounds, pullback

@@ -19,7 +19,7 @@ from .ensembles import (
     LinearScalar,
     ParameterGrid,
     _segments_vjp,
-    _simulate_segments_batch,
+    _simulate_segments_batch,  # noqa: F401  bench/tracing.py wraps the loop under this name
     _steps_per_interval,
 )
 from .errors import SolverError, SolverWarning
@@ -353,8 +353,8 @@ def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy
     and its exact gradient: one forward RK4 run that records every stage,
     the cotangents of the boundary moments through d_M and the trapezoid
     weights, then one reverse sweep through the same steps.  Returns
-    ``(J, g)``; a non-finite forward run, cost or gradient raises
-    :class:`SolverError`."""
+    ``(J, g, mom)`` with the boundary moments ``mom`` of that run; a
+    non-finite forward run, cost or gradient raises :class:`SolverError`."""
     n_int = u.shape[0]
     h = horizon / n_int
     bounds, pullback = _segments_vjp(model, grid, x0, u, horizon, dt)
@@ -368,7 +368,7 @@ def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy
     g = pullback(_member_moments_vjp(bounds, grid, basis, q, mbar)) + 2 * energy_weight * h * u
     if not np.all(np.isfinite(g)):
         raise SolverError("non-finite shooting gradient")
-    return J, g
+    return J, g, mom
 
 
 def direct_shooting(
@@ -418,19 +418,20 @@ def direct_shooting(
     else:
         u = np.array(initial_guess, dtype=float).reshape(n_intervals, p)
 
-    evaluations = []  # (J, |g|, control) of every objective evaluation
+    evaluations = []  # (J, |g|, control, boundary moments) of every objective evaluation
 
     def objective(v):
         try:
-            J, g = _shooting_objective(model, grid, x0, basis, q, m_ref,
-                                       v.reshape(n_intervals, p), horizon, dt, energy_weight)
+            J, g, mom = _shooting_objective(model, grid, x0, basis, q, m_ref,
+                                            v.reshape(n_intervals, p), horizon, dt,
+                                            energy_weight)
         except SolverError as exc:
             if not evaluations:
                 raise SolverError(f"initial control: {exc}") from None
-            J, g = np.inf, np.zeros((n_intervals, p))
+            J, g, mom = np.inf, np.zeros((n_intervals, p)), None
         scale = float(np.abs(g).max())  # the norm of g / max|g| cannot overflow
         norm = scale * float(np.linalg.norm(g / scale)) if scale > 0 else 0.0
-        evaluations.append((J, norm, v.reshape(n_intervals, p).copy()))
+        evaluations.append((J, norm, v.reshape(n_intervals, p).copy(), mom))
         return J, g.ravel()
 
     # L-BFGS-B ends every iteration with an evaluation at the accepted point;
@@ -456,17 +457,14 @@ def direct_shooting(
     else:
         stop_reason = "line_search"
 
-    # the reported moments and gaps come from a forward run without the adjoint
-    u = history[-1][2]
-    states = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt)[0]
-    mom = member_moments(states, grid, basis, q)
-    gaps = moment_metric_values(mom, m_ref)
+    # the accepted iterate's own forward run gives the reported moments
+    J, _, u, mom = history[-1]
     return TrackingResult(
         ControlSignal(nodes_t, u),
         nodes_t,
         mom,
-        gaps,
-        history[-1][0],
+        moment_metric_values(mom, m_ref),
+        J,
         converged=stop_reason == "gradient_zero",
         info={
             "cost_history": np.array([e[0] for e in history]),

@@ -1,6 +1,7 @@
-"""Property tests of the ensemble forward loop and the shooting adjoint on
-random small problems.  Hypothesis draws the problem sizes and a seed; the
-seed draws the continuous data, so no example sits on a degenerate value."""
+"""Property tests of the ensemble forward loop, the Kuramoto field and the
+shooting adjoint on random small problems.  Hypothesis draws the problem
+sizes and a seed; the seed draws the continuous data, so no example sits on
+a degenerate value unless the test asks for one."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from momentsteer import (  # noqa: E402
     member_moments,
     simulate,
 )
-from momentsteer.ensembles import _simulate_segments_batch  # noqa: E402
+from momentsteer.ensembles import _field, _field_vjp, _simulate_segments_batch  # noqa: E402
 from momentsteer.tracking import _shooting_objective  # noqa: E402
 
 PROPERTY = settings(deadline=None, max_examples=60, derandomize=True)
@@ -54,7 +55,7 @@ def test_adjoint_gradient_matches_central_differences(kind, members, n_int, per,
     def J(v):
         return _shooting_objective(model, g, x0, basis, q, m_ref, v, 1.0, dt, ew)[0]
 
-    _, adjoint = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0, dt, ew)
+    _, adjoint, _ = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0, dt, ew)
     h = 1e-5
     central = np.zeros_like(u)
     for idx in np.ndindex(u.shape):
@@ -82,3 +83,48 @@ def test_segment_batch_boundaries_match_simulate(kind, members, batch, n_int, pe
     for b in range(batch):
         traj = simulate(model, x0, g, ControlSignal(np.linspace(0, 1, n_int + 1), U[b]), dt)
         np.testing.assert_allclose(rows[b], traj.states[::per], rtol=1e-13, atol=1e-15)
+        # each row is integrated on its own: equal to a batch of one, bit for bit
+        np.testing.assert_array_equal(rows[b], _simulate_segments_batch(model, x0, g, U[b:b + 1],
+                                                                        1.0, dt)[0])
+
+
+def _complex_field(K, g, x, drive):
+    """The Kuramoto right-hand side in its complex-exponential form."""
+    z = np.sum(g.weights * np.exp(1j * x))
+    r, psi = min(np.abs(z), 1.0), np.angle(z)
+    return g.nodes + K * r * np.sin(psi - x) + drive * np.sin(x)
+
+
+def _complex_field_vjp(K, g, x, drive, b):
+    """VJP of the unclipped complex form: b (drive cos x - K Re(z e^{-ix}))
+    + K w Re(e^{ix} sum_j b_j e^{-i x_j}), and sum_j b_j sin x_j."""
+    e = np.exp(1j * x)
+    z = np.sum(g.weights * e)
+    xbar = b * (drive * e.real - K * (z * e.conj()).real) \
+        + K * g.weights * (e * np.sum(b * e.conj())).real
+    return xbar, np.sum(b * e.imag)
+
+
+@PROPERTY
+@given(phases=st.sampled_from(["random", "synchronized", "antipodal"]),
+       half=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_kuramoto_field_and_vjp_match_complex_form(phases, half, seed):
+    rng = np.random.default_rng(seed)
+    members = 2 * half
+    g = make_uniform_grid(members, -1.0, 1.0)
+    K, drive, a = rng.uniform(0.0, 3.0), rng.standard_normal(), rng.uniform(0.0, 2 * np.pi)
+    if phases == "random":
+        x = rng.uniform(0.0, 2 * np.pi, members)
+    elif phases == "synchronized":  # |z| may round above 1, where r is clipped
+        x = np.full(members, a)
+    else:  # half the members opposite the other half: |z| = 0 up to rounding
+        x = np.concatenate([np.full(half, a), np.full(half, np.mod(a + np.pi, 2 * np.pi))])
+    b = rng.standard_normal(members)
+    model = Kuramoto(coupling=K)
+    np.testing.assert_allclose(_field(model, g)(x, drive), _complex_field(K, g, x, drive),
+                               rtol=0, atol=1e-13)
+    xbar, dbar = _field_vjp(model, g)(x, drive, b)
+    xbar_ref, dbar_ref = _complex_field_vjp(K, g, x, drive, b)
+    np.testing.assert_allclose(xbar, xbar_ref, rtol=0, atol=1e-13)
+    assert abs(dbar - dbar_ref) <= 1e-13
+

@@ -278,7 +278,7 @@ def test_shooting_adjoint_gradient_matches_central_differences(kind):
         return np.trapezoid(gap, ref.time_grid) + ew * (u**2).sum() / n_int
 
     u = np.random.default_rng(1).uniform(-0.5, 0.5, (n_int, model.n_inputs))
-    J, adjoint = _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
+    J, adjoint, _ = _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
                                      1.0, dt, ew)
     assert J == pytest.approx(objective(u), rel=1e-12)
     h = 1e-5
@@ -301,7 +301,7 @@ def test_shooting_gradient_finite_with_members_and_gaps_at_zero():
     m_ref = ref.value(ref.time_grid).copy()
     m_ref[:, 0] = 1.0  # 32 weights of 2^-5: the zeroth gap is exactly zero
     u = np.zeros((ref.time_grid.size - 1, 1))
-    _, grad = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0, 0.025, 1e-3)
+    _, grad, _ = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0, 0.025, 1e-3)
     assert np.all(np.isfinite(grad)) and np.abs(grad).max() > 0
 
 
