@@ -233,10 +233,10 @@ def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
     """Reverse sweep of the RK4 loop of :func:`_simulate_segments_batch`: the
     exact discrete adjoint.
 
-    ``stages`` holds the four stage inputs of every forward step in order, or
-    is ``None`` when ``vjp`` does not read them (the linear family); ``seeds``
-    holds the cotangents of the states at the segment boundaries (one row
-    per boundary).  Returns the cotangent of each segment's drive.  The phase
+    ``stages`` holds the four stage inputs of every forward step in order,
+    one row each, or is ``None`` when ``vjp`` does not read them (the linear
+    family); ``seeds`` holds the cotangents of the states at the segment
+    boundaries (one row per boundary).  Returns the cotangent of each segment's drive.  The phase
     wrap has identity derivative."""
     xbar = seeds[-1]
     dbar = np.zeros_like(drives)
@@ -311,9 +311,10 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
     returns states of shape (B, n_intervals + 1, n).  Each batch row is
     integrated on its own as one 1-d member vector, so a row equals the run
     of its control alone, bit for bit.  Kuramoto phases are wrapped to
-    [0, 2*pi) after every step.  A list passed as ``stages`` receives the
-    four stage inputs of every step, in order, for :func:`_rk4_adjoint`
-    (pass it with B = 1).  A non-finite state raises :class:`SolverError` at
+    [0, 2*pi) after every step.  An array passed as ``stages``, with B = 1
+    and one row for each of the 4 * n_intervals * (interval / dt) stages,
+    receives the four stage inputs of every step, in order, for
+    :func:`_rk4_adjoint`.  A non-finite state raises :class:`SolverError` at
     the first boundary of a row where it appears, with its time from the
     run's start.
     """
@@ -323,10 +324,10 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
     per = _steps_per_interval(horizon / n_int, dt)
     f, drive_of, wrap = _field(model, grid), _drive(model, grid), isinstance(model, Kuramoto)
     if stages is not None:
-        field_ = f
+        field_, row_of = f, iter(range(len(stages)))
 
         def f(x, drive):
-            stages.append(x)
+            stages[next(row_of)] = x
             return field_(x, drive)
 
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), grid.nodes.shape)
@@ -355,10 +356,12 @@ def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
     """Forward run of one control ``u`` (n_intervals, p); returns the boundary
     states (n_intervals + 1, n) and the pullback mapping their cotangents to
     that of ``u`` (:func:`_rk4_adjoint`).  For Kuramoto the run records every
-    RK4 stage input; the linear family's VJP reads none, so none are kept."""
-    stages = [] if isinstance(model, Kuramoto) else None
-    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=stages)[0]
+    RK4 stage input, one row each; the linear family's VJP reads none, so
+    none are kept."""
     per = _steps_per_interval(horizon / u.shape[0], dt)
+    # one block rather than a list of member vectors: the heap stays unfragmented
+    stages = np.empty((4 * per * u.shape[0], grid.size)) if isinstance(model, Kuramoto) else None
+    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=stages)[0]
     drives = _drive(model, grid)(u)
 
     def pullback(seeds):
