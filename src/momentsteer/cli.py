@@ -56,8 +56,10 @@ class ThresholdViolation(Exception):
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    """Write the 2-d array ``rows`` under ``header``, every value as %.17g
-    (shortest text that round-trips a float64)."""
+    """Write the 2-d array ``rows`` under ``header``, every value as %.17g.
+
+    Seventeen significant digits always round-trip a float64, but they are
+    not the shortest such text: ``repr`` writes fewer digits where it can."""
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 

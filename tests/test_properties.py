@@ -1,5 +1,5 @@
-"""Property tests of the ensemble forward loop, the Kuramoto field and the
-shooting adjoint on random small problems.  Hypothesis draws the problem
+"""Property tests of the ensemble forward loop, the Kuramoto field, the
+shooting adjoint and the moment-space RK4 kernel on random small problems.  Hypothesis draws the problem
 sizes and a seed; the seed draws the continuous data, so no example sits on
 a degenerate value unless the test asks for one."""
 
@@ -21,6 +21,7 @@ from momentsteer import (  # noqa: E402
     simulate,
 )
 from momentsteer.ensembles import _field, _field_vjp, _simulate_segments_batch  # noqa: E402
+from momentsteer.moment_systems import _rk4_affine  # noqa: E402
 from momentsteer.tracking import _shooting_objective  # noqa: E402
 
 PROPERTY = settings(deadline=None, max_examples=60, derandomize=True)
@@ -128,3 +129,51 @@ def test_kuramoto_field_and_vjp_match_complex_form(phases, half, seed):
     np.testing.assert_allclose(xbar, xbar_ref, rtol=0, atol=1e-13)
     assert abs(dbar - dbar_ref) <= 1e-13
 
+
+
+def _stage_rk4(A, z0, forcing_half, dt, dtype, hold, per):
+    """The LTI RK4 kernel stage by stage: k1..k4 from the step's forcing
+    samples at t, t + h/2 and t + h, each plus the step's hold."""
+    At = np.asarray(A, dtype=dtype).T
+    f = np.asarray(forcing_half, dtype=dtype)
+    n_steps = (f.shape[-2] - 1) // 2
+    lead = [np.shape(z0)[:-1], f.shape[:-2]] + ([] if hold is None else [np.shape(hold)[:-2]])
+    z = np.broadcast_to(np.asarray(z0, dtype=dtype), np.broadcast_shapes(*lead) + At.shape[:1])
+    out = [z]
+    h = dtype(dt)
+    for i in range(n_steps):
+        f0, fm, f1 = f[..., 2 * i, :], f[..., 2 * i + 1, :], f[..., 2 * i + 2, :]
+        if hold is not None:
+            g = np.asarray(hold, dtype=dtype)[..., i // per, :]
+            f0, fm, f1 = f0 + g, fm + g, f1 + g
+        k1 = z @ At + f0
+        k2 = (z + h / 2 * k1) @ At + fm
+        k3 = (z + h / 2 * k2) @ At + fm
+        k4 = (z + h * k3) @ At + f1
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(z)
+    return np.stack(out, axis=-2)
+
+
+LEADS = [(), (3,), (2, 1), (2, 3)]
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), n_seg=st.integers(1, 4), per=st.integers(1, 5),
+       z_lead=st.sampled_from(LEADS), f_lead=st.sampled_from(LEADS),
+       hold_lead=st.sampled_from([None] + LEADS),
+       dtype=st.sampled_from([np.float64, np.longdouble]), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_affine_kernel_matches_stage_by_stage(n, n_seg, per, z_lead, f_lead,
+                                                          hold_lead, dtype, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    dt = rng.uniform(1e-3, 0.5)
+    z0 = rng.standard_normal(z_lead + (n,))
+    forcing = rng.standard_normal(f_lead + (2 * per * n_seg + 1, n))
+    hold = None if hold_lead is None else rng.standard_normal(hold_lead + (n_seg, n))
+    got = _rk4_affine(A, z0, forcing, dt, dtype, hold, per)
+    want = _stage_rk4(A, z0, forcing, dt, dtype, hold, per)
+    assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+    # the two forms differ by rounding only; 1e3 ulps of the largest state
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e3 * np.finfo(dtype).eps * np.abs(want).max())

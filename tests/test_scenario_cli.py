@@ -272,6 +272,19 @@ def test_track_tpbvp_boundaries(tmp_path):
     assert summary["optimality_gap"] <= 1e-6
 
 
+def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
+    # one input cannot steer 17 moments: the matching matrix of the unit
+    # costate responses is rank deficient at machine precision
+    from pathlib import Path
+
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "labeled_fixed_endpoint.json").read_text())
+    spec["q"], spec["model"]["inputs"] = 16, 1
+    out = tmp_path / "unreachable"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 3
+    assert "boundary matching matrix is singular" in capsys.readouterr().err
+
+
 def _kuramoto_scenario(**over):
     base = {
         "model": {"kind": "kuramoto", "coupling": 2.0},
