@@ -1,8 +1,8 @@
 """Control synthesis for moment tracking: pointwise minimum-norm feedback,
-fixed-endpoint LQ tracking via a shooting-solved boundary value problem, and
-direct shooting for nonlinear ensembles: L-BFGS-B on an RK4 objective whose
-gradient is its exact discrete adjoint (one forward run and one reverse
-sweep per evaluation).
+fixed-endpoint LQ tracking via a boundary value problem solved by
+superposition, and direct shooting for nonlinear ensembles: L-BFGS-B on an
+RK4 objective whose gradient is its exact discrete adjoint (one forward run
+and one reverse sweep per evaluation).
 """
 
 from __future__ import annotations
@@ -164,14 +164,17 @@ def lq_tracking_tpbvp(
     setup: LQSetup,
     dt: float,
 ) -> TrackingResult:
-    """Fixed-endpoint LQ moment tracking solved by single shooting.
+    """Fixed-endpoint LQ moment tracking solved by superposition.
 
-    The state-costate system is integrated once per unit costate direction
-    plus once for the particular solution; the boundary-matching linear
-    system then fixes the initial costate.  Because the matching matrix is
-    ill conditioned when inputs are few, the initial costate is polished by
-    ``REFINEMENT_PASSES`` rounds of iterative refinement with
-    extended-precision residual evaluation, and the best iterate is kept.
+    The state-costate system is linear, and so is its RK4 run in the initial
+    costate: the trajectory from (m_start, lambda0) is the particular run
+    from (m_start, 0) plus sum_k lambda0_k times the homogeneous run of the
+    k-th unit costate.  Both runs are made once, in extended precision; the
+    unit runs' endpoint moments form the boundary-matching matrix.  Because
+    that matrix is ill conditioned when inputs are few, lambda0 is found by
+    ``REFINEMENT_PASSES`` rounds of iterative refinement from zero, each an
+    extended-precision endpoint residual and a float64 least-squares
+    correction, and the best iterate is kept.
     """
     if setup.R.shape[0] != sys.p:
         raise ValueError("R must be p x p")
@@ -180,12 +183,15 @@ def lq_tracking_tpbvp(
         raise ValueError(f"boundary moments must have length {n}")
     n_steps = _steps_per_interval(ref.span, dt)
 
+    # the costate is large, and float64 rounding of the runs alone moves the
+    # endpoint by ~1e-9, so both runs and the superposition are longdouble
     A = _hamiltonian_matrix(sys, setup.R)
-    f64 = _tpbvp_forcing(ref, n_steps, dt)
-
-    # endpoint responses of unit initial costates (homogeneous system)
-    unit = np.hstack([np.zeros((n, n)), np.eye(n)])
-    match = _rk4_affine(A, unit, np.zeros_like(f64), dt)[:, -1, :n].T
+    fld = _tpbvp_forcing(ref, n_steps, dt, dtype=np.longdouble)
+    part = _rk4_affine(A, np.concatenate([setup.m_start, np.zeros(n)]), fld, dt, np.longdouble)
+    unit = _rk4_affine(A, np.hstack([np.zeros((n, n)), np.eye(n)]), np.zeros_like(fld), dt,
+                       np.longdouble)  # (n, n_steps+1, 2n)
+    match_ld = unit[:, -1, :n].T
+    match = match_ld.astype(np.float64)
     sv = np.linalg.svd(match, compute_uv=False)
     # ill conditioning up to ~1/eps is handled by the refinement passes below;
     # only a machine-rank deficiency marks a genuinely unreachable endpoint
@@ -197,30 +203,22 @@ def lq_tracking_tpbvp(
         )
     cond_match = float(sv[0] / sv[-1])
 
-    part = _rk4_affine(A, np.concatenate([setup.m_start, np.zeros(n)]), f64, dt)
-    lam0 = np.linalg.lstsq(match, setup.m_end - part[-1, :n], rcond=None)[0]
-
-    # refinement with extended-precision residuals; keep the best iterate.
-    # The costate is accumulated in longdouble too: it is large, and its
-    # float64 rounding alone moves the endpoint by ~1e-9.
-    fld = _tpbvp_forcing(ref, n_steps, dt, dtype=np.longdouble)
-    lam0 = lam0.astype(np.longdouble)
-    best = (np.inf, lam0, None)
+    lam0 = np.zeros(n, dtype=np.longdouble)
+    best = (np.inf, lam0)
     for _ in range(REFINEMENT_PASSES):
-        traj_ld = _rk4_affine(A, np.concatenate([setup.m_start, lam0]), fld, dt, np.longdouble)
-        resid = (setup.m_end - traj_ld[-1, :n]).astype(np.float64)
+        resid = (setup.m_end - part[-1, :n] - match_ld @ lam0).astype(np.float64)
         rnorm = float(np.linalg.norm(resid))
         if rnorm < best[0]:
-            best = (rnorm, lam0, traj_ld)
+            best = (rnorm, lam0)
         lam0 = lam0 + np.linalg.lstsq(match, resid, rcond=None)[0]
-    boundary_end, lam0, traj_ld = best
+    boundary_end, lam0 = best
 
-    traj = traj_ld.astype(np.float64)
+    traj = (part + np.einsum("k,kij->ij", lam0, unit)).astype(np.float64)
     times = float(ref.time_grid[0]) + dt * np.arange(n_steps + 1)
     moments = traj[:, :n]
     lam = traj[:, n:]
     u = -0.5 * np.linalg.solve(setup.R, sys.H.T @ lam.T).T
-    m_ref = f64[::2, n:] / 2
+    m_ref = (fld[::2, n:] / 2).astype(np.float64)
     residuals = np.linalg.norm(moments - m_ref, axis=1)
     energy = np.einsum("ij,jk,ik->i", u, setup.R, u)
     cost = float(np.trapezoid(residuals**2 + energy, times))
@@ -316,13 +314,14 @@ def tpbvp_optimality_gap(
     drive = u_nom @ sys.H.T
     m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
 
-    # discrete endpoint map of the variation coordinates; one expression, so
-    # the (nv, n_steps+1, n) response trajectories are freed at once
+    # discrete endpoint map of the variation coordinates: the zero-state
+    # response of each unit variation, so no large endpoints cancel.  The zero
+    # forcing is a broadcast view, not an array, and the copy frees the
+    # (nv, n_steps+1, n) response trajectories at once
     nv = VARIATION_INTERVALS * p
     basis = np.eye(nv).reshape(nv, VARIATION_INTERVALS, p)
-    m_end0 = _rk4_affine(sys.L, setup.m_start, drive, dt_v)[-1]
-    E = (_rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=basis @ sys.H.T, per=per)[:, -1]
-         - m_end0).T  # (n, nv)
+    E = _rk4_affine(sys.L, np.zeros(n), np.broadcast_to(0.0, drive.shape), dt_v,
+                    hold=basis @ sys.H.T, per=per)[:, -1].T.copy()  # (n, nv)
 
     v = np.random.default_rng(seed).standard_normal((n_variations, nv))
     for _ in range(PROJECTION_PASSES):

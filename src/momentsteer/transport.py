@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .measures import CDFTable, EmpiricalMeasure, GridDensity, cdf, quantile
 from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM, _power_sums
 
@@ -244,7 +244,8 @@ def ot_moment_reference(plan: DisplacementPlan, basis: str, q: int, time_grid=No
 
     The unit transport stage is mapped affinely onto the grid's span.  Both
     tables come from the closed forms of :func:`_path_moments`; the rate of
-    the zeroth moment is exactly zero.
+    the zeroth moment is exactly zero.  A non-finite entry in either table
+    (order-q powers of large atoms overflow) raises :class:`SolverError`.
     """
     if basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
         raise ValueError(f"unknown basis {basis!r}")
@@ -255,6 +256,9 @@ def ot_moment_reference(plan: DisplacementPlan, basis: str, q: int, time_grid=No
     if span <= 0:
         raise ConfigError("reference time grid must span a positive duration")
     stages = (time_grid - time_grid[0]) / span
-    m = _path_moments(plan, basis, q, stages)
-    dm = _path_moments(plan, basis, q, stages, rate=True) / span
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _path_moments(plan, basis, q, stages)
+        dm = _path_moments(plan, basis, q, stages, rate=True) / span
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(dm))):
+        raise SolverError(f"order-{q} moments of the transport reference overflow")
     return MomentReference(time_grid, m, dm, basis, plan)

@@ -285,6 +285,20 @@ def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
     assert "boundary matching matrix is singular" in capsys.readouterr().err
 
 
+def test_track_reference_moment_overflow_exits_3(tmp_path, capsys):
+    # order-16 powers of atoms at 1e30 overflow while the transport reference
+    # is built: the failure names the order, and no RuntimeWarning reports it
+    import warnings
+
+    spec = _linear_sim_scenario(q=16, initial={"kind": "constant", "value": 1e30})
+    out = tmp_path / "overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
+    assert code == 3
+    assert "order-16 moments of the transport reference overflow" in capsys.readouterr().err
+
+
 def _kuramoto_scenario(**over):
     base = {
         "model": {"kind": "kuramoto", "coupling": 2.0},

@@ -150,6 +150,27 @@ def test_tpbvp_refinement_meets_boundary_bound_near_shipped_target(means, weight
     assert np.linalg.norm(res.moments[-1] - setup.m_end) <= 1e-8
 
 
+def test_tpbvp_superposition_equals_direct_run():
+    # the returned trajectory is the particular run plus the unit-costate runs
+    # weighted by lambda0; a direct longdouble run from (m_start, lambda0)
+    # must give the same trajectory.  lambda0 is stored rounded to float64
+    # and reaches ~4e8 here, so compare trajectories, not endpoints
+    from momentsteer.moment_systems import _rk4_affine
+    from momentsteer.tracking import _tpbvp_forcing
+
+    q, p, dt = 8, 4, 1e-3
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q, 1000)
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    res = lq_tracking_tpbvp(sys_, ref, setup, dt)
+    fld = _tpbvp_forcing(ref, res.times.size - 1, dt, dtype=np.longdouble)
+    z0 = np.concatenate([setup.m_start, res.info["lambda0"]])
+    direct = _rk4_affine(res.info["hamiltonian"], z0, fld, dt, np.longdouble)
+    superposed = np.hstack([res.moments, res.info["lambda_trace"]])
+    scale = float(np.abs(superposed).max())
+    assert float(np.abs(direct - superposed).max()) <= 1e-14 * scale
+
+
 def test_tpbvp_first_order_optimality_small_case():
     q, p, dt = 3, 2, 1e-3
     sys_ = build_linear_moment_system(q, p)
