@@ -39,6 +39,7 @@ from .moments import (
 from .moment_systems import build_linear_moment_system
 from .scenario import Scenario, load_scenario
 from .tracking import (
+    VARIATION_INTERVALS,
     LQSetup,
     direct_shooting,
     exact_tracking_feedback,
@@ -141,6 +142,12 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         if isinstance(model, Kuramoto):
             raise ConfigError(f"solver '{method}' needs the linear model")
         n_steps = _steps_per_interval(scn.horizon, scn.dt)
+        if method == "tpbvp" and scn.solver.get("verify", False):
+            try:  # the optimality gap's grid, checked before the solve
+                _steps_per_interval(scn.horizon / VARIATION_INTERVALS, scn.dt / 2)
+            except ConfigError:
+                raise ConfigError(f"solver.verify needs dt/2 to divide the {VARIATION_INTERVALS} "
+                                  f"variation segments; dt={scn.dt:g} does not") from None
         tgrid = np.linspace(0.0, scn.horizon, n_steps + 1)
         _, ref = scn.build_reference(grid, tgrid)
         sys_ = build_linear_moment_system(scn.q, model.n_inputs)

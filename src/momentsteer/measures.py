@@ -9,10 +9,10 @@ which in one dimension realize the optimal-transport cost exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 from .ensembles import ParameterGrid
@@ -221,11 +221,15 @@ def wasserstein_to_point_circular(mu: EmpiricalMeasure, target: float, p: float 
     return float(np.sum(mu.weights * d**p) ** (1.0 / p))
 
 
+def _ndtr(x):  # the standard normal distribution function of a scalar
+    return 0.5 * math.erfc(-x / math.sqrt(2))
+
+
 def _trunc_gauss_values(xs, mean, sigma):
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
     z = (xs - mean) / sigma
-    tail_mass = ndtr((1.0 - mean) / sigma) - ndtr((0.0 - mean) / sigma)
+    tail_mass = _ndtr((1.0 - mean) / sigma) - _ndtr((0.0 - mean) / sigma)
     if tail_mass < 1e-12:
         raise ConfigError("truncation retains almost no mass on [0, 1]")
     return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) / (sigma * tail_mass)

@@ -290,60 +290,53 @@ def tpbvp_optimality_gap(
     """Largest relative directional derivative of the cost over random
     endpoint-preserving control variations.
 
-    The cost is quadratic in the control, so a central difference evaluates
-    the directional derivative exactly up to roundoff.  Variations are
-    projected onto the kernel of the discrete endpoint map; the derivative is
-    normalized by the variation norm and the cost scale.  Verification runs
-    at half the solver step to keep discretization bias below the threshold.
-    The nominal cost and both signs of every variation are one batch.
+    The cost is quadratic in a variation held on ``VARIATION_INTERVALS``
+    segments, so each directional derivative is exactly an inner product with
+    the cost gradient.  The moment system is linear and time invariant: a unit
+    hold H e_i on segment s has the zero-state response Y_i of that hold on
+    the first segment, delayed by s segments.  So p runs give the endpoint map
+    and the gradient's tracking part 2 trapezoid(e . Y_i delayed), with e the
+    nominal tracking error.  Variations are projected onto the kernel of the
+    endpoint map; the derivative is normalized by the variation norm and the
+    cost scale.  Verification runs at half the solver step to keep
+    discretization bias below the threshold.
     """
     n = sys.q + 1
-    p = sys.p
-    dt_solver = float(result.times[1] - result.times[0])
-    dt_v = dt_solver / 2
+    dt_v = float(result.times[1] - result.times[0]) / 2
     horizon = float(result.times[-1] - result.times[0])
     n_steps = _steps_per_interval(horizon, dt_v)
     per = _steps_per_interval(horizon / VARIATION_INTERVALS, dt_v)
+    starts = per * np.arange(VARIATION_INTERVALS)
 
     # nominal control on the quarter grid of the solver (= half grid of dt_v)
-    A = result.info["hamiltonian"]
     f_q = _tpbvp_forcing(ref, 2 * n_steps, dt_v / 2)
-    z_fine = _rk4_affine(A, np.concatenate([setup.m_start, result.info["lambda0"]]),
-                         f_q, dt_v / 2)
+    z_fine = _rk4_affine(result.info["hamiltonian"],
+                         np.concatenate([setup.m_start, result.info["lambda0"]]), f_q, dt_v / 2)
     u_nom = -0.5 * np.linalg.solve(setup.R, sys.H.T @ z_fine[:, n:].T).T  # (2*n_steps+1, p)
-    drive = u_nom @ sys.H.T
     m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
+    e = _rk4_affine(sys.L, setup.m_start, u_nom @ sys.H.T, dt_v) - m_ref
 
-    # discrete endpoint map of the variation coordinates: the zero-state
-    # response of each unit variation, so no large endpoints cancel.  The zero
-    # forcing is a broadcast view, not an array, and the copy frees the
-    # (nv, n_steps+1, n) response trajectories at once
-    nv = VARIATION_INTERVALS * p
-    basis = np.eye(nv).reshape(nv, VARIATION_INTERVALS, p)
-    E = _rk4_affine(sys.L, np.zeros(n), np.broadcast_to(0.0, drive.shape), dt_v,
-                    hold=basis @ sys.H.T, per=per)[:, -1].T.copy()  # (n, nv)
+    # every stage of a step uses the step's owning segment (zero-order hold)
+    first = np.zeros((sys.p, VARIATION_INTERVALS, n))
+    first[:, 0] = sys.H.T
+    Y = _rk4_affine(sys.L, np.zeros(n), np.zeros((2 * n_steps + 1, n)), dt_v,
+                    hold=first, per=per)  # (p, n_steps+1, n)
+    E = Y[:, n_steps - starts].transpose(1, 0, 2).reshape(-1, n).T  # column s*p + i
 
-    v = np.random.default_rng(seed).standard_normal((n_variations, nv))
+    # the energy integrand jumps where the variation switches, so it is
+    # integrated segment by segment; the tracking integrand integrates globally
+    useg = u_nom[::2][starts[:, None] + np.arange(per + 1)]  # (segments, per+1, p)
+    J0 = (np.trapezoid(np.sum(e * e, axis=1), dx=dt_v)
+          + np.trapezoid(np.einsum("sij,jk,sik->si", useg, setup.R, useg), dx=dt_v).sum())
+    track = [np.trapezoid(np.einsum("kj,ikj->ik", e[k:], Y[:, : n_steps + 1 - k]), dx=dt_v)
+             for k in starts]
+    grad = 2 * (np.array(track) + np.trapezoid(useg @ setup.R, dx=dt_v, axis=1)).ravel()
+
+    v = np.random.default_rng(seed).standard_normal((n_variations, E.shape[1]))
     for _ in range(PROJECTION_PASSES):
         v = v - np.linalg.lstsq(E @ E.T, E @ v.T, rcond=None)[0].T @ E
-    du = v.reshape(n_variations, VARIATION_INTERVALS, p)
-    batch = np.concatenate([np.zeros((1, VARIATION_INTERVALS, p)), du, -du])
-
-    # every stage of a step uses the step's owning variation segment
-    # (zero-order-hold semantics), and the energy integrand, which jumps
-    # where the variation switches, is integrated segment by segment; the
-    # tracking integrand is continuous and integrates globally
-    m = _rk4_affine(sys.L, setup.m_start, drive, dt_v, hold=batch @ sys.H.T, per=per)
-    e = m - m_ref
-    track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt_v, axis=1)
-    nodes = per * np.arange(VARIATION_INTERVALS)[:, None] + np.arange(per + 1)
-    useg = u_nom[::2][nodes] + batch[:, :, None, :]  # (B, segments, per+1, p)
-    integrand = np.einsum("bsij,jk,bsik->bsi", useg, setup.R, useg)
-    J = track + np.trapezoid(integrand, dx=dt_v, axis=-1).sum(axis=1)
-
-    scale = max(1.0, abs(J[0]))
-    norm_du = np.sqrt(np.sum(du**2, axis=(1, 2)) * horizon / VARIATION_INTERVALS)
-    gaps = np.abs(J[1 : n_variations + 1] - J[n_variations + 1 :]) / 2.0 / (norm_du * scale)
+    norm_v = np.sqrt(np.sum(v**2, axis=1) * horizon / VARIATION_INTERVALS)
+    gaps = np.abs(v @ grad) / (norm_v * max(1.0, abs(J0)))
     return float(np.max(gaps, initial=0.0))
 
 
@@ -525,17 +518,12 @@ def terminal_profile_guess(
     beta = grid.nodes
     x0 = np.asarray(x0, dtype=float)
     target = np.asarray(target_profile, dtype=float)
-    edges = np.linspace(0.0, horizon, n_intervals + 1)
-    p = model.n_inputs
-    cols = np.empty((beta.size, n_intervals * p))
-    small = np.abs(beta) < 1e-12
-    for s in range(n_intervals):
-        a, b = edges[s], edges[s + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg = (np.exp((horizon - a) * beta) - np.exp((horizon - b) * beta)) / beta
-        seg[small] = b - a
-        for i in range(p):
-            cols[:, s * p + i] = beta**i * seg
+    edges = np.linspace(0.0, horizon, n_intervals + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg = (np.exp((horizon - edges[:-1]) * beta) - np.exp((horizon - edges[1:]) * beta)) / beta
+    seg[:, np.abs(beta) < 1e-12] = np.diff(edges, axis=0)
+    cols = seg.T[:, :, None] * beta[:, None, None] ** np.arange(model.n_inputs)
+    cols = cols.reshape(beta.size, -1)  # column s*p + i: beta^i * seg over interval s
     resid = target - np.exp(horizon * beta) * x0
-    gram = cols.T @ cols + ridge * np.eye(n_intervals * p)
-    return np.linalg.solve(gram, cols.T @ resid).reshape(n_intervals, p)
+    gram = cols.T @ cols + ridge * np.eye(cols.shape[1])
+    return np.linalg.solve(gram, cols.T @ resid).reshape(n_intervals, model.n_inputs)

@@ -208,6 +208,15 @@ def test_truncated_gaussian_flat_limit():
     assert np.abs(f.values - 1.0).max() <= 1e-2
 
 
+def test_normal_distribution_function_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    from momentsteer.measures import _ndtr
+
+    xs = np.linspace(-8.0, 8.0, 3201)
+    np.testing.assert_allclose([_ndtr(x) for x in xs], ndtr(xs), rtol=1e-13, atol=0)
+
+
 def test_truncated_gaussian_rejects_degenerate():
     with pytest.raises(ConfigError):
         truncated_gaussian(0.5, -1.0)

@@ -272,6 +272,27 @@ def test_track_tpbvp_boundaries(tmp_path):
     assert summary["optimality_gap"] <= 1e-6
 
 
+def test_track_tpbvp_verify_grid_checked_before_solve(tmp_path, capsys, monkeypatch):
+    # dt = 0.0125 divides the horizon, but the optimality gap runs at dt/2,
+    # which does not divide its 25 variation segments of 0.04
+    from pathlib import Path
+
+    import momentsteer.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("solved before the verification grid was checked")
+
+    monkeypatch.setattr(cli, "lq_tracking_tpbvp", no_solve)
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "labeled_fixed_endpoint.json").read_text())
+    spec["dt"] = 0.0125
+    out = tmp_path / "verify_grid"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: solver.verify" in err
+    assert "25 variation segments" in err and "dt=0.0125" in err
+
+
 def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
     # one input cannot steer 17 moments: the matching matrix of the unit
     # costate responses is rank deficient at machine precision

@@ -181,6 +181,67 @@ def test_tpbvp_first_order_optimality_small_case():
     assert gap <= 1e-6
 
 
+def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0):
+    """The gap by brute force: the endpoint map from one run per unit hold
+    (segment, channel), and each directional derivative as the central
+    difference (J(u + du) - J(u - du)) / 2 of costs from one batch of runs."""
+    from momentsteer.ensembles import _steps_per_interval
+    from momentsteer.moment_systems import _rk4_affine
+    from momentsteer.tracking import (PROJECTION_PASSES, VARIATION_INTERVALS,
+                                      _tpbvp_forcing)
+
+    n, p = sys_.q + 1, sys_.p
+    dt_v = float(result.times[1] - result.times[0]) / 2
+    horizon = float(result.times[-1] - result.times[0])
+    n_steps = _steps_per_interval(horizon, dt_v)
+    per = _steps_per_interval(horizon / VARIATION_INTERVALS, dt_v)
+    f_q = _tpbvp_forcing(ref, 2 * n_steps, dt_v / 2)
+    z_fine = _rk4_affine(result.info["hamiltonian"],
+                         np.concatenate([setup.m_start, result.info["lambda0"]]), f_q, dt_v / 2)
+    u_nom = -0.5 * np.linalg.solve(setup.R, sys_.H.T @ z_fine[:, n:].T).T
+    drive = u_nom @ sys_.H.T
+    m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
+
+    nv = VARIATION_INTERVALS * p
+    basis = np.eye(nv).reshape(nv, VARIATION_INTERVALS, p)
+    E = _rk4_affine(sys_.L, np.zeros(n), np.zeros_like(drive), dt_v,
+                    hold=basis @ sys_.H.T, per=per)[:, -1].T
+    v = np.random.default_rng(seed).standard_normal((n_variations, nv))
+    for _ in range(PROJECTION_PASSES):
+        v = v - np.linalg.lstsq(E @ E.T, E @ v.T, rcond=None)[0].T @ E
+    du = v.reshape(n_variations, VARIATION_INTERVALS, p)
+    batch = np.concatenate([np.zeros((1, VARIATION_INTERVALS, p)), du, -du])
+
+    m = _rk4_affine(sys_.L, setup.m_start, drive, dt_v, hold=batch @ sys_.H.T, per=per)
+    e = m - m_ref
+    track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt_v, axis=1)
+    nodes = per * np.arange(VARIATION_INTERVALS)[:, None] + np.arange(per + 1)
+    useg = u_nom[::2][nodes] + batch[:, :, None, :]
+    integrand = np.einsum("bsij,jk,bsik->bsi", useg, setup.R, useg)
+    J = track + np.trapezoid(integrand, dx=dt_v, axis=-1).sum(axis=1)
+
+    scale = max(1.0, abs(J[0]))
+    norm_du = np.sqrt(np.sum(du**2, axis=(1, 2)) * horizon / VARIATION_INTERVALS)
+    gaps = np.abs(J[1 : n_variations + 1] - J[n_variations + 1 :]) / 2.0 / (norm_du * scale)
+    return float(np.max(gaps))
+
+
+def test_tpbvp_optimality_gap_matches_central_difference_oracle():
+    q, p, dt = 3, 2, 1e-3
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q, 1000)
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    res = lq_tracking_tpbvp(sys_, ref, setup, dt)
+    assert tpbvp_optimality_gap(sys_, ref, setup, res) <= 1e-6
+    assert _optimality_gap_oracle(sys_, ref, setup, res) <= 1e-6
+    # checked against a doubled control weight, the R = I solution is far
+    # from optimal: the gap must see it, and agree with the oracle
+    doubled = LQSetup(2 * np.eye(p), setup.m_start, setup.m_end)
+    gap = tpbvp_optimality_gap(sys_, ref, doubled, res)
+    assert gap > 1e-6
+    assert gap == pytest.approx(_optimality_gap_oracle(sys_, ref, doubled, res), rel=1e-8)
+
+
 def test_tpbvp_unreachable_endpoint_raises():
     from momentsteer.moment_systems import LinearMomentSystem
 
