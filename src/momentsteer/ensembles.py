@@ -5,8 +5,10 @@ compact interval, all driven by one broadcast input.  Two model kinds are
 provided: a multi-input scalar linear family (rate parameter times state plus
 a polynomial-in-parameter input profile) and globally coupled Kuramoto phase
 oscillators actuated through ``u * sin(theta)``.  Every run, single or
-batched, replayed or recorded for the adjoint, takes its RK4 steps in one
-loop, :func:`_simulate_segments_batch`.
+batched, replayed or recorded for the adjoint, goes through one forward
+function, :func:`_simulate_segments_batch`.  The linear family takes each
+control segment in closed form, as the exact transfer of its RK4 steps
+(:func:`_linear_transfer`); Kuramoto takes its RK4 steps stage by stage.
 """
 
 from __future__ import annotations
@@ -205,19 +207,15 @@ def _field(model, grid: ParameterGrid):
     return kuramoto
 
 
-def _field_vjp(model, grid: ParameterGrid):
-    """Vector-Jacobian product of :func:`_field` at one member vector ``x``:
-    maps a cotangent ``b`` of f(x, drive) to the cotangents of ``x`` and
-    ``drive``.
+def _field_vjp(model: Kuramoto, grid: ParameterGrid):
+    """Vector-Jacobian product of the Kuramoto :func:`_field` at one member
+    vector ``x``: maps a cotangent ``b`` of f(x, drive) to the cotangents of
+    ``x`` and ``drive``.
 
-    Linear family: (beta * b, b), which does not read ``x``.  Kuramoto, of
-    the unclipped field, in cos/sin form with the mean-field sums
-    zr + i zi = sum_j w_j e^{i x_j} as floats:
+    It is taken of the unclipped field, in cos/sin form with the mean-field
+    sums zr + i zi = sum_j w_j e^{i x_j} as floats:
     b ((drive - K zr) cos x - K zi sin x) + K w (cos x sum_j b_j cos x_j +
     sin x sum_j b_j sin x_j), and the float sum_j b_j sin x_j for the drive."""
-    nodes = grid.nodes
-    if isinstance(model, LinearScalar):
-        return lambda x, drive, b: (nodes * b, b)
     K, w = model.coupling, grid.weights
     Kw = K * w
 
@@ -229,21 +227,35 @@ def _field_vjp(model, grid: ParameterGrid):
     return kuramoto
 
 
+def _linear_transfer(grid: ParameterGrid, per: int, dt: float):
+    """Exact transfer of ``per`` RK4 steps of dx/dt = beta x + d with the
+    drive d held: x -> Rp x + S d, member by member.
+
+    With z = dt beta, one step of the four stages is exactly
+    x -> R x + dt P d, where R = 1 + z + z^2/2 + z^3/6 + z^4/24 and
+    P = 1 + z/2 + z^2/6 + z^3/24; so Rp = R^per and
+    S = dt P sum_{j<per} R^j."""
+    z = dt * grid.nodes
+    R = 1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))
+    P = 1 + z * (1 / 2 + z * (1 / 6 + z / 24))
+    powers = R ** np.arange(per + 1)[:, None]  # R^0 .. R^per
+    return powers[-1], dt * P * powers[:-1].sum(axis=0)
+
+
 def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
-    """Reverse sweep of the RK4 loop of :func:`_simulate_segments_batch`: the
-    exact discrete adjoint.
+    """Reverse sweep of Kuramoto's RK4 steps in :func:`_simulate_segments_batch`:
+    the exact discrete adjoint.
 
     ``stages`` holds the four stage inputs of every forward step in order,
-    one row each, or is ``None`` when ``vjp`` does not read them (the linear
-    family); ``seeds`` holds the cotangents of the states at the segment
-    boundaries (one row per boundary).  Returns the cotangent of each segment's drive.  The phase
-    wrap has identity derivative."""
+    one row each; ``seeds`` holds the cotangents of the states at the segment
+    boundaries (one row per boundary).  Returns the cotangent of each
+    segment's drive.  The phase wrap has identity derivative."""
     xbar = seeds[-1]
     dbar = np.zeros_like(drives)
     for seg in range(len(drives) - 1, -1, -1):
         d = drives[seg]
         for n in range(per * (seg + 1) - 1, per * seg - 1, -1):
-            x, y2, y3, y4 = (None,) * 4 if stages is None else stages[4 * n : 4 * n + 4]
+            x, y2, y3, y4 = stages[4 * n : 4 * n + 4]
             b4, g4 = vjp(y4, d, dt / 6 * xbar)
             b3, g3 = vjp(y3, d, dt / 3 * xbar + dt * b4)
             b2, g2 = vjp(y2, d, dt / 3 * xbar + dt / 2 * b3)
@@ -304,47 +316,58 @@ def simulate(model, x0, grid: ParameterGrid, control: ControlSignal, dt: float) 
 
 
 def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
-    """The package's one ensemble forward loop: classical fixed-step RK4 for a
+    """The package's one ensemble forward run: classical fixed-step RK4 for a
     batch of piecewise-constant controls, sampled at the segment boundaries.
 
     U has shape (B, n_intervals, p) and ``dt`` must divide each interval;
     returns states of shape (B, n_intervals + 1, n).  Each batch row is
     integrated on its own as one 1-d member vector, so a row equals the run
-    of its control alone, bit for bit.  Kuramoto phases are wrapped to
-    [0, 2*pi) after every step.  An array passed as ``stages``, with B = 1
-    and one row for each of the 4 * n_intervals * (interval / dt) stages,
-    receives the four stage inputs of every step, in order, for
-    :func:`_rk4_adjoint`.  A non-finite state raises :class:`SolverError` at
-    the first boundary of a row where it appears, with its time from the
-    run's start.
+    of its control alone, bit for bit.  The linear family advances a whole
+    segment at once by the exact transfer of its RK4 steps
+    (:func:`_linear_transfer`).  Kuramoto takes its RK4 steps stage by stage
+    and wraps the phases to [0, 2*pi) after every step; an array passed as
+    ``stages``, with B = 1 and one row for each of the
+    4 * n_intervals * (interval / dt) stages, receives the four stage inputs
+    of every step, in order, for :func:`_rk4_adjoint`.  A non-finite state
+    raises :class:`SolverError` at the first boundary of a row where it
+    appears, with its time from the run's start.
     """
     B, n_int, p = U.shape
     if p != model.n_inputs:
         raise ValueError("control channel count must match the model input count")
     per = _steps_per_interval(horizon / n_int, dt)
-    f, drive_of, wrap = _field(model, grid), _drive(model, grid), isinstance(model, Kuramoto)
-    if stages is not None:
-        field_, row_of = f, iter(range(len(stages)))
+    if isinstance(model, LinearScalar):
+        Rp, S = _linear_transfer(grid, per, dt)
 
-        def f(x, drive):
-            stages[next(row_of)] = x
-            return field_(x, drive)
+        def advance(x, drive):
+            return Rp * x + S * drive
+    else:
+        f = _field(model, grid)
+        if stages is not None:
+            field_, row_of = f, iter(range(len(stages)))
 
+            def f(x, drive):
+                stages[next(row_of)] = x
+                return field_(x, drive)
+
+        def advance(x, drive):
+            for _ in range(per):
+                k1 = f(x, drive)
+                k2 = f(x + dt / 2 * k1, drive)
+                k3 = f(x + dt / 2 * k2, drive)
+                k4 = f(x + dt * k3, drive)
+                x = np.mod(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), 2 * np.pi)
+            return x
+
+    drive_of = _drive(model, grid)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), grid.nodes.shape)
     out = np.empty((B, n_int + 1, grid.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for row in range(B):
             x = out[row, 0] = x0
+            drives = drive_of(U[row])
             for seg in range(n_int):
-                drive = drive_of(U[row, seg])
-                for _ in range(per):
-                    k1 = f(x, drive)
-                    k2 = f(x + dt / 2 * k1, drive)
-                    k3 = f(x + dt / 2 * k2, drive)
-                    k4 = f(x + dt * k3, drive)
-                    x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                    if wrap:
-                        x = np.mod(x, 2 * np.pi)
+                x = advance(x, drives[seg])
                 if not np.all(np.isfinite(x)):
                     t_bad = (seg + 1) * per * dt
                     raise SolverError(f"non-finite state in the forward run at t={t_bad:.6g}")
@@ -355,19 +378,30 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
 def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
     """Forward run of one control ``u`` (n_intervals, p); returns the boundary
     states (n_intervals + 1, n) and the pullback mapping their cotangents to
-    that of ``u`` (:func:`_rk4_adjoint`).  For Kuramoto the run records every
-    RK4 stage input, one row each; the linear family's VJP reads none, so
-    none are kept."""
+    that of ``u``.  The linear family's pullback is the transposed segment
+    transfer: the drive of segment s gets S times the cotangent of boundary
+    s + 1, which then passes back through Rp.  Kuramoto's run records every
+    RK4 stage input, one row each, for :func:`_rk4_adjoint`."""
     per = _steps_per_interval(horizon / u.shape[0], dt)
+    if isinstance(model, LinearScalar):
+        bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt)[0]
+        Rp, S = _linear_transfer(grid, per, dt)
+
+        def pullback(seeds):
+            xbar = seeds[-1]
+            dbar = np.empty((u.shape[0], grid.size))
+            for seg in range(u.shape[0] - 1, -1, -1):
+                dbar[seg] = S * xbar
+                xbar = Rp * xbar + seeds[seg]
+            return dbar @ _profile(model, grid).T
+
+        return bounds, pullback
     # one block rather than a list of member vectors: the heap stays unfragmented
-    stages = np.empty((4 * per * u.shape[0], grid.size)) if isinstance(model, Kuramoto) else None
+    stages = np.empty((4 * per * u.shape[0], grid.size))
     bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=stages)[0]
-    drives = _drive(model, grid)(u)
 
     def pullback(seeds):
-        dbar = _rk4_adjoint(_field_vjp(model, grid), stages, drives, per, dt, seeds)
-        if isinstance(model, LinearScalar):
-            return dbar @ _profile(model, grid).T
-        return dbar[:, None]  # Kuramoto's drive is u_1, its one control column
+        # Kuramoto's drive is u_1, its one control column
+        return _rk4_adjoint(_field_vjp(model, grid), stages, u[:, 0], per, dt, seeds)[:, None]
 
     return bounds, pullback

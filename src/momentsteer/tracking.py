@@ -345,7 +345,7 @@ def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy
     and its exact gradient: one forward RK4 run (for Kuramoto it records
     every stage input), the cotangents of the boundary moments through d_M
     and the trapezoid weights, then one reverse sweep through the same
-    steps.  Returns
+    segments (:func:`_segments_vjp`).  Returns
     ``(J, g, mom)`` with the boundary moments ``mom`` of that run; a
     non-finite forward run, cost or gradient raises :class:`SolverError`."""
     n_int = u.shape[0]
@@ -354,7 +354,9 @@ def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy
     trap = np.full(n_int + 1, h)
     trap[[0, -1]] = h / 2
     mom = member_moments(bounds, grid, basis, q)
-    J = float(trap @ moment_metric_values(mom, m_ref)) + energy_weight * h * float((u**2).sum())
+    with np.errstate(over="ignore"):  # an overflow is caught as a non-finite J
+        J = float(trap @ moment_metric_values(mom, m_ref)) \
+            + energy_weight * h * float((u**2).sum())
     if not np.isfinite(J):
         raise SolverError("non-finite shooting cost")
     mbar = trap[:, None] * _metric_vjp(mom, m_ref)

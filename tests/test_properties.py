@@ -16,6 +16,7 @@ from momentsteer import (  # noqa: E402
     ControlSignal,
     Kuramoto,
     LinearScalar,
+    ParameterGrid,
     make_uniform_grid,
     member_moments,
     simulate,
@@ -87,6 +88,41 @@ def test_segment_batch_boundaries_match_simulate(kind, members, batch, n_int, pe
         # each row is integrated on its own: equal to a batch of one, bit for bit
         np.testing.assert_array_equal(rows[b], _simulate_segments_batch(model, x0, g, U[b:b + 1],
                                                                         1.0, dt)[0])
+
+
+def _stage_rk4_linear(beta, x0, drives, per, dt):
+    """Four-stage RK4 of dx/dt = beta x + d, one step at a time, with each
+    segment's drive d held; returns the segment boundaries."""
+    x, out = x0, [x0]
+    for d in drives:
+        for _ in range(per):
+            k1 = beta * x + d
+            k2 = beta * (x + dt / 2 * k1) + d
+            k3 = beta * (x + dt / 2 * k2) + d
+            k4 = beta * (x + dt * k3) + d
+            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(x)
+    return np.stack(out)
+
+
+@PROPERTY
+@given(members=st.integers(1, 30), batch=st.integers(1, 3), n_int=st.integers(1, 6),
+       per=st.integers(1, 10), inputs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_linear_closed_form_transfer_matches_stage_by_stage(members, batch, n_int, per, inputs,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    # rates in [-3, 3], always with beta = 0 among them
+    beta = np.unique(np.concatenate([[0.0], rng.uniform(-3.0, 3.0, members)]))
+    g = ParameterGrid(beta, np.full(beta.size, 1.0 / beta.size))
+    horizon = rng.uniform(0.1, 2.0)
+    dt = horizon / n_int / per
+    x0 = rng.standard_normal(beta.size)
+    U = rng.standard_normal((batch, n_int, inputs))
+    rows = _simulate_segments_batch(LinearScalar(inputs), x0, g, U, horizon, dt)
+    for b in range(batch):
+        drives = U[b] @ beta[None, :] ** np.arange(inputs)[:, None]
+        want = _stage_rk4_linear(beta, x0, drives, per, dt)
+        np.testing.assert_allclose(rows[b], want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def _complex_field(K, g, x, drive):

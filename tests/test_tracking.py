@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -390,11 +392,26 @@ def test_shooting_gradient_finite_with_members_and_gaps_at_zero():
 def test_shooting_gradient_non_finite_forward_raises():
     from momentsteer.tracking import _shooting_objective
 
-    model, g, x0, basis, q, ref = _shooting_case("output")
+    model, g, _, basis, q, ref = _shooting_case("output")
     u = np.full((ref.time_grid.size - 1, 1), 1e308)
+    # the exact RK4 state under this control alone stays finite (about
+    # 1.7e308 at t = 1); started at 1e308 it overflows by t = 0.5
+    x0 = np.full(g.size, 1e308)
     with pytest.raises(SolverError, match="forward run"):
         _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
                             1.0, 0.025, 1e-3)
+
+
+def test_shooting_cost_overflow_raises_without_numpy_warning():
+    from momentsteer.tracking import _shooting_objective
+
+    model, g, x0, basis, q, ref = _shooting_case("output")
+    u = np.full((ref.time_grid.size - 1, 1), 1e160)  # finite states, u**2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="non-finite shooting cost"):
+            _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
+                                1.0, 0.025, 1e-3)
 
 
 def _check_history(res, iterations):
