@@ -406,7 +406,7 @@ def test_shooting_cost_overflow_raises_without_numpy_warning():
     from momentsteer.tracking import _shooting_objective
 
     model, g, x0, basis, q, ref = _shooting_case("output")
-    u = np.full((ref.time_grid.size - 1, 1), 1e160)  # finite states, u**2 overflows
+    u = np.full((ref.time_grid.size - 1, 1), 1e160)  # finite states, overflowing cost
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolverError, match="non-finite shooting cost"):
