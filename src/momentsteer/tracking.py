@@ -3,6 +3,11 @@ fixed-endpoint LQ tracking via a boundary value problem solved by
 superposition, and direct shooting for nonlinear ensembles: L-BFGS-B on an
 RK4 objective whose gradient is its exact discrete adjoint (one forward run
 and one reverse sweep per evaluation).
+
+The fixed-endpoint solution has two checks: its ODE defect against the
+exact solution of the state/costate system, a matrix exponential of the
+system augmented by the monomials of the transport stage, and its
+first-order optimality gap from the exact cost gradient.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from .ensembles import (
@@ -22,10 +26,11 @@ from .ensembles import (
     _simulate_segments_batch,  # noqa: F401  bench/tracing.py wraps the loop under this name
     _steps_per_interval,
 )
-from .errors import SolverError, SolverWarning
+from .errors import ConfigError, SolverError, SolverWarning
 from .moment_systems import LinearMomentSystem, MomentTrace, _rk4_affine
-from .moments import _member_moments_vjp, _metric_vjp, member_moments, moment_metric_values
-from .transport import MomentReference
+from .moments import (FOURIER, _member_moments_vjp, _metric_vjp, member_moments,
+                      moment_metric_values)
+from .transport import MomentReference, _path_coefficients
 
 __all__ = [
     "TrackingResult",
@@ -240,37 +245,64 @@ def lq_tracking_tpbvp(
     )
 
 
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) in X's dtype by scaling and squaring (Moler & Van Loan 2003):
+    X / 2^s has 1-norm at most 1/2, where the degree-18 Taylor polynomial is
+    within 2e-23 of the exponential, and s squarings undo the scaling.  A
+    Pade form (Higham 2005) would need a linear solve, which NumPy does not
+    offer in longdouble."""
+    norm = float(np.abs(X).sum(axis=0).max())
+    s = max(0, int(np.ceil(np.log2(2 * norm)))) if norm > 0 else 0
+    X = X / X.dtype.type(2) ** s
+    term = E = np.eye(X.shape[0], dtype=X.dtype)
+    for j in range(1, 19):
+        term = term @ X / j
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentReference,
                        result: TrackingResult) -> float:
-    """Scale-normalized defect of the returned trajectory against an
-    independent high-order integration of the same boundary value problem.
+    """Scale-normalized defect of the returned trajectory against the exact
+    solution of the same state/costate ODE from its initial point.
 
-    The costate components are orders of magnitude larger than the moment
-    components, so the defect is reported relative to the trajectory's sup
-    norm.
+    The reference moments of a transport plan are polynomials of degree q in
+    the stage s, m(s) = C [s^0 .. s^q] (:func:`transport._path_coefficients`),
+    so appending the monomials, with d(s^j)/dt = j s^(j-1) / span, makes the
+    forced system homogeneous: dw/dt = A_hat w (Van Loan 1978).  One step
+    exponential of A_hat then carries w from instant to instant, in
+    longdouble.  The costate components are orders of magnitude larger than
+    the moment components, so the defect is reported relative to the
+    trajectory's sup norm.  A reference without a plan, or with a Fourier
+    basis, has no polynomial path and raises :class:`ConfigError`.
     """
+    if ref.plan is None:
+        raise ConfigError("the ODE defect needs a plan-backed reference; this one is a table")
+    if ref.basis == FOURIER:
+        raise ConfigError("the ODE defect needs polynomial reference moments; "
+                          "the Fourier basis has none")
     n = sys.q + 1
-    A = result.info["hamiltonian"]
+    ld = np.longdouble
+    A_hat = np.zeros((3 * n, 3 * n), dtype=ld)
+    A_hat[: 2 * n, : 2 * n] = result.info["hamiltonian"]
+    A_hat[n : 2 * n, 2 * n :] = 2 * _path_coefficients(ref.plan, sys.q, ld)
+    j = np.arange(1, n)
+    A_hat[2 * n + j, 2 * n + j - 1] = j / ld(ref.span)
+    dt = ld(result.times[1] - result.times[0])
+    phi = _expm(A_hat * dt)
+
     z = np.hstack([result.moments, result.info["lambda_trace"]])
-
-    def rhs(t, zz):
-        f = np.zeros(2 * n)
-        f[n:] = 2 * ref.value(t).real
-        return A @ zz + f
-
-    sol = solve_ivp(
-        rhs,
-        (result.times[0], result.times[-1]),
-        z[0],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-10,
-        t_eval=result.times,
-    )
-    if not sol.success:
-        raise SolverError("verification integration failed")
+    w = np.zeros(3 * n, dtype=ld)
+    w[: 2 * n] = z[0]
+    w[2 * n] = 1  # the solver's first instant is stage 0
+    exact = np.empty((z.shape[0], 2 * n), dtype=ld)
+    for k in range(z.shape[0]):
+        exact[k] = w[: 2 * n]
+        w = phi @ w
     scale = max(1.0, float(np.abs(z).max()))
-    return float(np.abs(sol.y.T - z).max() / scale)
+    return float(np.abs(exact - z).max() / scale)
 
 
 # control segments of the optimality-gap variations, and the passes of the

@@ -4,8 +4,8 @@ trajectories along the transport path.
 The one-dimensional interpolant moves each source atom linearly toward its
 monotone-rearrangement image.  Power moments of the interpolant are
 polynomials in the transport stage, evaluated in closed form from mixed
-moments of the plan; trigonometric moments and their rates sum over the
-source atoms.
+moments of the plan, or from their monomial coefficients; trigonometric
+moments and their rates sum over the source atoms.
 """
 
 from __future__ import annotations
@@ -237,6 +237,22 @@ def _path_moments(plan: DisplacementPlan, basis: str, q: int, s: np.ndarray,
         coef = k * coef * (M[d - i, i + 1] - M[k - i, i]) if rate else coef * M[k - i, i]
         out[..., k] = (one_minus[..., d - i] * power[..., i]) @ coef
     return out
+
+
+def _path_coefficients(plan: DisplacementPlan, q: int, dtype=np.float64) -> np.ndarray:
+    """Monomial coefficients C of the power moments of the displacement path,
+    m_k(s) = sum_j C[k, j] s^j, in ``dtype``.
+
+    Expanding (1-s)^(k-i) in the Bernstein form of :func:`_path_moments`
+    gives C[k, i+l] += k! / (i! l! (k-i-l)!) (-1)^l M[k-i, i].
+    """
+    M = plan.mixed_moments(q, dtype)
+    C = np.zeros((q + 1, q + 1), dtype=dtype)
+    for k in range(q + 1):
+        for i in range(k + 1):
+            for l in range(k - i + 1):
+                C[k, i + l] += comb(k, i) * comb(k - i, l) * (-1) ** l * M[k - i, i]
+    return C
 
 
 def ot_moment_reference(plan: DisplacementPlan, basis: str, q: int, time_grid=None) -> MomentReference:

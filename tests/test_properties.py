@@ -1,5 +1,6 @@
 """Property tests of the ensemble forward loop, the Kuramoto field, the
-shooting adjoint and the moment-space RK4 kernel on random small problems.  Hypothesis draws the problem
+shooting adjoint, the moment-space RK4 kernel and the transport path's power
+moments on random small problems.  Hypothesis draws the problem
 sizes and a seed; the seed draws the continuous data, so no example sits on
 a degenerate value unless the test asks for one."""
 
@@ -14,6 +15,7 @@ from momentsteer import (  # noqa: E402
     MONOMIAL_OUTPUT,
     MONOMIAL_PARAM,
     ControlSignal,
+    DisplacementPlan,
     Kuramoto,
     LinearScalar,
     ParameterGrid,
@@ -24,6 +26,7 @@ from momentsteer import (  # noqa: E402
 from momentsteer.ensembles import _field, _field_vjp, _simulate_segments_batch  # noqa: E402
 from momentsteer.moment_systems import _rk4_affine  # noqa: E402
 from momentsteer.tracking import _shooting_objective  # noqa: E402
+from momentsteer.transport import _path_coefficients, _path_moments  # noqa: E402
 
 PROPERTY = settings(deadline=None, max_examples=60, derandomize=True)
 
@@ -213,3 +216,26 @@ def test_closed_form_affine_kernel_matches_stage_by_stage(n, n_seg, per, z_lead,
     # the two forms differ by rounding only; 1e3 ulps of the largest state
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e3 * np.finfo(dtype).eps * np.abs(want).max())
+
+
+@PROPERTY
+@given(atoms=st.integers(1, 40), q=st.integers(1, 10),
+       dtype=st.sampled_from([np.float64, np.longdouble]), seed=st.integers(0, 2**32 - 1))
+def test_path_moment_forms_match_atom_sum(atoms, q, dtype, seed):
+    # three forms of the displacement path's power moments on a random
+    # monotone plan: monomial coefficients, Bernstein form and the atom sum
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, atoms)
+    plan = DisplacementPlan(np.sort(rng.uniform(0.0, 1.0, atoms)), w / w.sum(),
+                            np.sort(rng.uniform(0.0, 1.0, atoms)))
+    s = np.linspace(0.0, 1.0, 11).astype(dtype)
+    ks = np.arange(q + 1)
+    pos = np.multiply.outer(1 - s, plan.points.astype(dtype)) \
+        + np.multiply.outer(s, plan.targets.astype(dtype))
+    atom_sum = (pos[..., None] ** ks * plan.weights.astype(dtype)[:, None]).sum(axis=1)
+    monomial = (s[:, None] ** ks) @ _path_coefficients(plan, q, dtype).T
+    bernstein = _path_moments(plan, MONOMIAL_PARAM, q, s)
+    assert monomial.dtype == bernstein.dtype == np.dtype(dtype)
+    tol = 1e-12 * np.abs(atom_sum).max()
+    np.testing.assert_allclose(monomial, atom_sum, rtol=0, atol=tol)
+    np.testing.assert_allclose(bernstein, atom_sum, rtol=0, atol=tol)

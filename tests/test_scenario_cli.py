@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,3 +471,16 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys, command):
     missing = tmp_path / "nope.json"
     assert main([command, "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
     assert f"configuration error: cannot read scenario {missing}" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy_integrator():
+    # the TPBVP check is the exact exponential solution, so start-up needs no
+    # ODE solver; scipy.optimize (direct shooting) still loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, momentsteer.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

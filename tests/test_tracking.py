@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from momentsteer import (
+    ConfigError,
     ControlSignal,
+    EmpiricalMeasure,
     Kuramoto,
     LinearScalar,
     LQSetup,
@@ -14,7 +16,9 @@ from momentsteer import (
     MomentReference,
     SolverError,
     SolverWarning,
+    TrackingResult,
     build_linear_moment_system,
+    circular_plan,
     direct_shooting,
     exact_tracking_feedback,
     lq_tracking_tpbvp,
@@ -171,6 +175,90 @@ def test_tpbvp_superposition_equals_direct_run():
     superposed = np.hstack([res.moments, res.info["lambda_trace"]])
     scale = float(np.abs(superposed).max())
     assert float(np.abs(direct - superposed).max()) <= 1e-14 * scale
+
+
+def _ode_residual_oracle(sys_, ref, result):
+    # the slow path the exact defect replaced: DOP853 on the forced
+    # state/costate ODE, evaluating the reference at every stage.  Its former
+    # atol of 1e-10 left an own error of 1.9e-13 on the q = 3 case, so the
+    # oracle runs at atol 1e-13
+    from scipy.integrate import solve_ivp
+
+    n = sys_.q + 1
+    A = result.info["hamiltonian"]
+    z = np.hstack([result.moments, result.info["lambda_trace"]])
+
+    def rhs(t, zz):
+        f = np.zeros(2 * n)
+        f[n:] = 2 * ref.value(t).real
+        return A @ zz + f
+
+    sol = solve_ivp(rhs, (result.times[0], result.times[-1]), z[0], method="DOP853",
+                    rtol=1e-13, atol=1e-13, t_eval=result.times)
+    assert sol.success
+    return float(np.abs(sol.y.T - z).max() / max(1.0, float(np.abs(z).max())))
+
+
+@pytest.fixture(scope="module", params=[(3, 2), (8, 4)], ids=["q3", "q8"])
+def tpbvp_case(request):
+    # q = 8, p = 4 on this reference is criterion 2's problem
+    q, p = request.param
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q, 1000)
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    return sys_, ref, setup, lq_tracking_tpbvp(sys_, ref, setup, 1e-3)
+
+
+def test_ode_residual_matches_dop853_oracle(tpbvp_case):
+    sys_, ref, setup, res = tpbvp_case
+    exact = tpbvp_ode_residual(sys_, setup, ref, res)
+    assert exact <= 1e-13
+    assert abs(exact - _ode_residual_oracle(sys_, ref, res)) <= 1e-13
+
+
+def test_ode_residual_detects_perturbed_costate(tpbvp_case):
+    sys_, ref, setup, res = tpbvp_case
+    lam = res.info["lambda_trace"].copy()
+    lam[500:] *= 1 + 1e-6
+    bent = TrackingResult(res.control, res.times, res.moments, res.residuals, res.cost,
+                          info={**res.info, "lambda_trace": lam})
+    exact = tpbvp_ode_residual(sys_, setup, ref, bent)
+    oracle = _ode_residual_oracle(sys_, ref, bent)
+    assert exact > 1e-8 and oracle > 1e-8
+    assert exact == pytest.approx(oracle, rel=1e-3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_expm_scaling_and_squaring(dtype):
+    from scipy.linalg import expm
+
+    from momentsteer.tracking import _expm
+
+    # a rotation generator of norm 20 takes five squarings; its exponential
+    # is known in closed form
+    theta = 10.0
+    got = _expm(np.array([[0.0, -theta], [theta, 0.0]], dtype=dtype))
+    assert got.dtype == np.dtype(dtype)
+    want = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    np.testing.assert_allclose(got.astype(float), want, rtol=0, atol=1e-14)
+    X = np.random.default_rng(5).standard_normal((7, 7))
+    np.testing.assert_allclose(_expm(X.astype(dtype)).astype(float), expm(X), rtol=1e-12)
+    assert np.array_equal(_expm(np.zeros((3, 3), dtype=dtype)), np.eye(3))
+
+
+def test_ode_residual_needs_polynomial_reference():
+    q, p, dt = 3, 2, 1e-3
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q, 1000)
+    table = MomentReference(ref.time_grid, ref.m_star, ref.dm_star, MONOMIAL_PARAM)
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    res = lq_tracking_tpbvp(sys_, table, setup, dt)
+    with pytest.raises(ConfigError, match="plan-backed"):
+        tpbvp_ode_residual(sys_, setup, table, res)
+    phases = EmpiricalMeasure(np.array([0.3, 1.2, 2.0]), np.full(3, 1 / 3))
+    fourier = ot_moment_reference(circular_plan(phases, 1.0), FOURIER, q, ref.time_grid)
+    with pytest.raises(ConfigError, match="Fourier"):
+        tpbvp_ode_residual(sys_, setup, fourier, res)
 
 
 def test_tpbvp_first_order_optimality_small_case():
