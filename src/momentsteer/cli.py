@@ -21,7 +21,10 @@ from .ensembles import ControlSignal, Kuramoto, _steps_per_interval, simulate, m
 from .measures import (
     CDFTable,
     EmpiricalMeasure,
+    _cumulative_trapezoid,
+    cdf,
     pushforward,
+    quantile,
     sample_empirical,
     wasserstein,
     wasserstein_to_point_circular,
@@ -134,6 +137,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     grid = scn.build_grid()
     x0 = scn.initial_state(grid)
     method = scn.solver["method"]
+    checks = {}  # the fixed-endpoint solve's verification, reported in the summary
 
     if method in ("exact", "tpbvp"):
         if scn.basis != MONOMIAL_PARAM:
@@ -161,8 +165,8 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             )
             result = lq_tracking_tpbvp(sys_, ref, setup, scn.dt)
             if scn.solver.get("verify", False):
-                result.info["ode_residual"] = tpbvp_ode_residual(sys_, setup, ref, result)
-                result.info["optimality_gap"] = tpbvp_optimality_gap(sys_, ref, setup, result)
+                checks["ode_residual"] = tpbvp_ode_residual(sys_, setup, ref, result)
+                checks["optimality_gap"] = tpbvp_optimality_gap(sys_, ref, setup, result)
     else:
         intervals = int(scn.solver.get("intervals", 50))
         _steps_per_interval(scn.horizon / intervals, scn.dt)  # replay grid, checked early
@@ -170,26 +174,18 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         # the optimizer may run on a coarser member grid; for the linear
         # family the control generalizes exactly (members are uncoupled),
         # for the mean-field model it is a quadrature refinement
-        opt_members = int(scn.solver.get("optimize_members", grid.size))
-        if opt_members != grid.size:
-            opt_grid = scn.build_grid(opt_members)
-            opt_x0 = scn.initial_state(opt_grid)
-        else:
-            opt_grid, opt_x0 = grid, x0
+        opt_grid = scn.build_grid(scn.solver.get("optimize_members"))
+        opt_x0 = scn.initial_state(opt_grid)
         _, ref = scn.build_reference(opt_grid, tgrid)
         guess_kind = scn.solver.get("initial_guess", "zero")
         if guess_kind == "terminal_profile":
             if isinstance(model, Kuramoto):
                 raise ConfigError("terminal_profile guesses apply to the linear model")
-            from .measures import cdf, quantile
-
             mu1 = scn.resolve_measure(scn.target, "target")
             target_profile = np.asarray(
                 quantile(cdf(mu1), scn.member_levels(opt_grid)), dtype=float)
             guess = terminal_profile_guess(
-                model, opt_grid, opt_x0, target_profile, scn.horizon, intervals,
-                float(scn.solver.get("guess_ridge", 1e-4)),
-            )
+                model, opt_grid, opt_x0, target_profile, scn.horizon, intervals)
         elif guess_kind == "zero":
             guess = None
         else:
@@ -245,9 +241,10 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         "runtime_s": time.monotonic() - t_start,
     }
     for key in ("boundary_residual_start", "boundary_residual_end", "matching_condition",
-                "hht_condition", "ode_residual", "optimality_gap", "iterations"):
+                "hht_condition", "iterations"):
         if key in result.info:
             summary[key] = float(result.info[key])
+    summary.update(checks)
     if "stop_reason" in result.info:
         summary["stop_reason"] = result.info["stop_reason"]
     if isinstance(model, Kuramoto):
@@ -324,8 +321,7 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         clipped = np.clip(final, 0.0, None)
         # on the scale of m_0 = sum_j w_j x_j, independent of the member count
         payload["clipped_negative_mass"] = float((clipped - final) @ grid.weights)
-        inc = np.concatenate(
-            [[0.0], np.cumsum((clipped[1:] + clipped[:-1]) / 2 * np.diff(grid.nodes))])
+        inc = _cumulative_trapezoid(clipped, grid.nodes)
         total = inc[-1]
         if total <= 0:
             raise SolverError("final labeled profile has no mass")

@@ -149,6 +149,11 @@ def pushforward(grid: ParameterGrid, y) -> EmpiricalMeasure:
     return EmpiricalMeasure(y, grid.weights.copy())
 
 
+def _cumulative_trapezoid(values, xs) -> np.ndarray:
+    """Trapezoid integrals of ``values`` over ``xs`` from xs[0] to each abscissa."""
+    return np.concatenate([[0.0], np.cumsum((values[1:] + values[:-1]) / 2 * np.diff(xs))])
+
+
 def cdf(mu) -> CDFTable:
     """Right-continuous step CDF of an empirical measure, or the cumulative
     trapezoid CDF of a grid density."""
@@ -163,7 +168,7 @@ def cdf(mu) -> CDFTable:
         if mu.signed and mu.has_negative:
             raise ConfigError("cannot build a CDF from a signed density")
         xs = mu.xs
-        inc = np.concatenate([[0.0], np.cumsum((mu.values[1:] + mu.values[:-1]) / 2 * np.diff(xs))])
+        inc = _cumulative_trapezoid(mu.values, xs)
         return CDFTable(xs, inc / inc[-1])
     raise TypeError(f"unsupported measure type {type(mu).__name__}")
 
@@ -198,19 +203,23 @@ def _exact_empirical_cost(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) 
     return float(np.sum(seg * np.abs(qu - qv) ** p))
 
 
-def wasserstein(mu, nu, p: float = 2.0, levels: int = 2048) -> float:
+# probability levels of wasserstein's quantile quadrature when a measure is not atoms
+QUANTILE_LEVELS = 2048
+
+
+def wasserstein(mu, nu, p: float = 2.0) -> float:
     """Order-``p`` transport distance between measures on the line.
 
     For two empirical measures the quantile integral is evaluated exactly on
     the merged cumulative-weight partition; otherwise it is approximated by
-    midpoint quadrature over ``levels`` uniform probability levels.
+    midpoint quadrature over ``QUANTILE_LEVELS`` uniform probability levels.
     """
     if p < 1:
         raise ValueError("order p must be at least 1")
     if isinstance(mu, EmpiricalMeasure) and isinstance(nu, EmpiricalMeasure):
         return _exact_empirical_cost(mu, nu, p) ** (1.0 / p)
     Fu, Fv = cdf(mu), cdf(nu)
-    s = (np.arange(levels) + 0.5) / levels
+    s = (np.arange(QUANTILE_LEVELS) + 0.5) / QUANTILE_LEVELS
     qu, qv = quantile(Fu, s), quantile(Fv, s)
     return float(np.mean(np.abs(qu - qv) ** p) ** (1.0 / p))
 

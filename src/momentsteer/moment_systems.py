@@ -125,6 +125,10 @@ def _rk4_linear_moments(L, H, m0, control: ControlSignal, dt: float) -> np.ndarr
     return _rk4_affine(L, m0, free, dt, hold=control.values @ H.T, per=per)
 
 
+# orders integrated above q, so that truncation stays out of the consistency check
+CONSISTENCY_PAD = 8
+
+
 def verify_moment_consistency(
     model: LinearScalar,
     x0,
@@ -132,24 +136,23 @@ def verify_moment_consistency(
     control: ControlSignal,
     q: int,
     dt: float,
-    pad: int = 8,
 ) -> float:
     """Largest metric gap between ensemble-side and moment-side trajectories.
 
     One path simulates the ensemble and takes density moments per instant by
     grid quadrature; the other integrates the shift-plus-Hankel system from
     the same initial moments under the same control.  The moment ODE is
-    integrated at order q+pad and projected back to q, so the comparison
-    isolates modeling and integrator error rather than truncation error of
-    the top component.
+    integrated at order q + ``CONSISTENCY_PAD`` and projected back to q, so
+    the comparison isolates modeling and integrator error rather than
+    truncation error of the top component.
     """
     if not isinstance(model, LinearScalar):
         raise ValueError("consistency check applies to the labeled linear model")
     traj = simulate(model, x0, grid, control, dt)
     if control.horizon == 0.0:
         return 0.0
-    ens = member_moments(traj.states, grid, MONOMIAL_PARAM, q + pad)
-    big = build_linear_moment_system(q + pad, model.n_inputs)
+    ens = member_moments(traj.states, grid, MONOMIAL_PARAM, q + CONSISTENCY_PAD)
+    big = build_linear_moment_system(q + CONSISTENCY_PAD, model.n_inputs)
     ode = _rk4_linear_moments(big.L, big.H, ens[0], control, dt)
     return float(np.max(moment_metric_values(ens[:, : q + 1], ode[:, : q + 1])))
 

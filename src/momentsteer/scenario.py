@@ -41,7 +41,6 @@ _SOLVER_KEYS = {
     "iterations",
     "energy_weight",
     "initial_guess",
-    "guess_ridge",
     "optimize_dt",
     "optimize_members",
 }
@@ -49,8 +48,11 @@ _SOLVER_KEYS = {
 _NUMBERS = [("model", "inputs", 1, True, False), ("model", "coupling", 0, False, False),
             ("solver", "intervals", 1, True, False), ("solver", "iterations", 0, True, False),
             ("solver", "r_scale", 0, False, True), ("solver", "energy_weight", 0, False, False),
-            ("solver", "guess_ridge", 0, False, True), ("solver", "optimize_dt", 0, False, True),
+            ("solver", "optimize_dt", 0, False, True),
             ("solver", "optimize_members", 2, True, False)]
+# number fields of a measure spec, and those that hold one number per component
+_MEASURE_NUMBERS = ("value", "mean", "sigma")
+_MEASURE_LISTS = ("means", "sigmas", "weights")
 _THRESHOLD_KEYS = {"max_residual", "boundary_residual", "final_order_parameter", "w2", "cost"}
 _TOP_KEYS = {
     "model",
@@ -79,6 +81,19 @@ def _need(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required field '{key}' in {where}")
     return section[key]
+
+
+def _check_measure(spec: dict, where: str):
+    """Reject a measure spec with an unknown key or a number field that is
+    not a finite number; a list field is checked element by element."""
+    _check_keys(spec, _MEASURE_KEYS, where)
+    for key in _MEASURE_NUMBERS + _MEASURE_LISTS:
+        value = spec.get(key)
+        if key in _MEASURE_LISTS and isinstance(value, list):
+            for i, v in enumerate(value):
+                _number(v, f"{where}.{key}[{i}]")
+        elif key in spec:
+            _number(value, f"{where}.{key}")
 
 
 def _number(value, name: str, low: float = -math.inf, integer: bool = False,
@@ -125,11 +140,11 @@ class Scenario:
         for k in ("lo", "hi"):
             _number(_need(grid, k, "grid"), f"grid.{k}")
         initial = dict(_need(raw, "initial", "scenario"))
-        _check_keys(initial, _MEASURE_KEYS, "initial")
+        _check_measure(initial, "initial")
         target = raw.get("target")
         if target is not None:
             target = dict(target)
-            _check_keys(target, _MEASURE_KEYS, "target")
+            _check_measure(target, "target")
         basis = _need(raw, "basis", "scenario")
         if basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
             raise ConfigError(f"unknown basis '{basis}'")

@@ -82,21 +82,6 @@ class LQSetup:
             raise ValueError("R must be positive definite")
 
 
-def _feedback_gain(sys: LinearMomentSystem):
-    sv = np.linalg.svd(sys.H, compute_uv=False)
-    if sys.p >= sys.q + 1:
-        cond_hht = (sv[0] / sv[-1]) ** 2
-    else:
-        cond_hht = np.inf
-    if cond_hht > 1e14:
-        warnings.warn(
-            f"H H' condition {cond_hht:.3g} exceeds 1e14; using pseudo-inverse feedback",
-            SolverWarning,
-            stacklevel=3,
-        )
-    return np.linalg.pinv(sys.H, rcond=1e-12), cond_hht
-
-
 def exact_tracking_feedback(
     sys: LinearMomentSystem, ref: MomentReference, m0, dt: float
 ) -> TrackingResult:
@@ -112,7 +97,14 @@ def exact_tracking_feedback(
     if m.shape != (sys.q + 1,):
         raise ValueError(f"initial moments must have length {sys.q + 1}")
     n_steps = _steps_per_interval(ref.span, dt)
-    Hp, cond_hht = _feedback_gain(sys)
+    cond_hht = sys.h_cond**2 if sys.p >= sys.q + 1 else np.inf
+    if cond_hht > 1e14:
+        warnings.warn(
+            f"H H' condition {cond_hht:.3g} exceeds 1e14; using pseudo-inverse feedback",
+            SolverWarning,
+            stacklevel=2,
+        )
+    Hp = np.linalg.pinv(sys.H, rcond=1e-12)
 
     # the closed loop is LTI: dm/dt = (L - H H^+ L) m + H H^+ dm*/dt
     t0 = float(ref.time_grid[0])
@@ -134,7 +126,7 @@ def exact_tracking_feedback(
         moments,
         residuals,
         cost,
-        info={"hht_condition": cond_hht, "pseudo_inverse": True, "h_rank": sys.h_rank},
+        info={"hht_condition": cond_hht},
     )
 
 
@@ -233,12 +225,10 @@ def lq_tracking_tpbvp(
         residuals,
         cost,
         info={
-            "lambda0": lam0.astype(np.float64),
             "lambda_trace": lam,
             "boundary_residual_start": 0.0,
             "boundary_residual_end": boundary_end,
             "matching_condition": cond_match,
-            "hamiltonian": A,
         },
     )
 
@@ -284,7 +274,7 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentRefer
     n = sys.q + 1
     ld = np.longdouble
     A_hat = np.zeros((3 * n, 3 * n), dtype=ld)
-    A_hat[: 2 * n, : 2 * n] = result.info["hamiltonian"]
+    A_hat[: 2 * n, : 2 * n] = _hamiltonian_matrix(sys, setup.R)
     A_hat[n : 2 * n, 2 * n :] = 2 * _path_coefficients(ref.plan, sys.q, ld)
     j = np.arange(1, n)
     A_hat[2 * n + j, 2 * n + j - 1] = j / ld(ref.span)
@@ -305,6 +295,11 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentRefer
 # projection onto the kernel of the endpoint map (repeated against roundoff)
 VARIATION_INTERVALS = 25
 PROJECTION_PASSES = 3
+# random variations of the gap, drawn from a fixed seed so a rerun reports the same gap
+GAP_VARIATIONS = 10
+GAP_SEED = 0
+# ridge weight of the terminal-profile fit, which keeps the guessed control's energy moderate
+GUESS_RIDGE = 1e-4
 
 
 def tpbvp_optimality_gap(
@@ -312,11 +307,9 @@ def tpbvp_optimality_gap(
     ref: MomentReference,
     setup: LQSetup,
     result: TrackingResult,
-    n_variations: int = 10,
-    seed: int = 0,
 ) -> float:
-    """Largest relative directional derivative of the cost over random
-    endpoint-preserving control variations.
+    """Largest relative directional derivative of the cost over
+    ``GAP_VARIATIONS`` random endpoint-preserving control variations.
 
     The cost is quadratic in a variation held on ``VARIATION_INTERVALS``
     segments, so each directional derivative is exactly an inner product with
@@ -338,8 +331,8 @@ def tpbvp_optimality_gap(
 
     # nominal control on the quarter grid of the solver (= half grid of dt_v)
     f_q = _tpbvp_forcing(ref, 2 * n_steps, dt_v / 2)
-    z_fine = _rk4_affine(result.info["hamiltonian"],
-                         np.concatenate([setup.m_start, result.info["lambda0"]]), f_q, dt_v / 2)
+    z0 = np.concatenate([setup.m_start, result.info["lambda_trace"][0]])
+    z_fine = _rk4_affine(_hamiltonian_matrix(sys, setup.R), z0, f_q, dt_v / 2)
     u_nom = -0.5 * np.linalg.solve(setup.R, sys.H.T @ z_fine[:, n:].T).T  # (2*n_steps+1, p)
     m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
     e = _rk4_affine(sys.L, setup.m_start, u_nom @ sys.H.T, dt_v) - m_ref
@@ -360,7 +353,7 @@ def tpbvp_optimality_gap(
              for k in starts]
     grad = 2 * (np.array(track) + np.trapezoid(useg @ setup.R, dx=dt_v, axis=1)).ravel()
 
-    v = np.random.default_rng(seed).standard_normal((n_variations, E.shape[1]))
+    v = np.random.default_rng(GAP_SEED).standard_normal((GAP_VARIATIONS, E.shape[1]))
     for _ in range(PROJECTION_PASSES):
         v = v - np.linalg.lstsq(E @ E.T, E @ v.T, rcond=None)[0].T @ E
     norm_v = np.sqrt(np.sum(v**2, axis=1) * horizon / VARIATION_INTERVALS)
@@ -535,7 +528,6 @@ def terminal_profile_guess(
     target_profile,
     horizon: float,
     n_intervals: int,
-    ridge: float = 1e-4,
 ) -> np.ndarray:
     """Initial control for shooting on the linear family: ridge fit of the
     closed-form terminal response to the desired final member profile.
@@ -555,5 +547,5 @@ def terminal_profile_guess(
     cols = seg.T[:, :, None] * beta[:, None, None] ** np.arange(model.n_inputs)
     cols = cols.reshape(beta.size, -1)  # column s*p + i: beta^i * seg over interval s
     resid = target - np.exp(horizon * beta) * x0
-    gram = cols.T @ cols + ridge * np.eye(cols.shape[1])
+    gram = cols.T @ cols + GUESS_RIDGE * np.eye(cols.shape[1])
     return np.linalg.solve(gram, cols.T @ resid).reshape(n_intervals, model.n_inputs)

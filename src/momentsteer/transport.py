@@ -28,6 +28,7 @@ __all__ = [
     "circular_plan",
 ]
 
+# equal-weight atoms that stand for a continuous source measure in a plan
 PLAN_LEVELS = 4096
 
 
@@ -86,22 +87,22 @@ def _interp_quantiles(F: CDFTable, levels) -> np.ndarray:
     return np.interp(levels, F.F, F.abscissae)
 
 
-def _atomize(mu, levels: int = PLAN_LEVELS):
-    """Represent a measure by atoms; continuous measures get equal-weight
-    atoms at midpoint quantile levels."""
+def _atomize(mu):
+    """Represent a measure by atoms; continuous measures get ``PLAN_LEVELS``
+    equal-weight atoms at midpoint quantile levels."""
     if isinstance(mu, EmpiricalMeasure):
         pts, w = mu.sorted()
         return pts, w, np.minimum(np.cumsum(w), 1.0)
     if isinstance(mu, (GridDensity, CDFTable)):
         F = cdf(mu)
-        s = (np.arange(levels) + 0.5) / levels
+        s = (np.arange(PLAN_LEVELS) + 0.5) / PLAN_LEVELS
         pts = _interp_quantiles(F, s)
-        w = np.full(levels, 1.0 / levels)
+        w = np.full(PLAN_LEVELS, 1.0 / PLAN_LEVELS)
         return pts, w, s
     raise TypeError(f"unsupported measure type {type(mu).__name__}")
 
 
-def mccann_plan(mu0, mu1, levels: int = PLAN_LEVELS) -> DisplacementPlan:
+def mccann_plan(mu0, mu1) -> DisplacementPlan:
     """Monotone-rearrangement plan: each source atom maps to the target
     quantile at its own cumulative level.
 
@@ -109,7 +110,7 @@ def mccann_plan(mu0, mu1, levels: int = PLAN_LEVELS) -> DisplacementPlan:
     qualifying atom); continuous targets use the interpolated inverse of
     their tabulated CDF.
     """
-    pts, w, lev = _atomize(mu0, levels)
+    pts, w, lev = _atomize(mu0)
     F1 = cdf(mu1)
     if isinstance(mu1, EmpiricalMeasure):
         targets = np.asarray(quantile(F1, lev), dtype=float)

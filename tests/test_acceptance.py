@@ -128,7 +128,7 @@ def test_criterion_2_fixed_endpoint_regime():
     b0 = float(np.linalg.norm(res.moments[0] - setup.m_start))
     b1 = float(res.info["boundary_residual_end"])
     ode = tpbvp_ode_residual(sys_, setup, ref, res)
-    gap = tpbvp_optimality_gap(sys_, ref, setup, res, n_variations=10, seed=0)
+    gap = tpbvp_optimality_gap(sys_, ref, setup, res)
     ok = b0 <= 1e-8 and b1 <= 1e-8 and ode <= 1e-8 and gap <= 1e-6
     _report(2, "fixed-endpoint regime (p=4, q=8)", ok,
             f"boundaries {b0:.2e}/{b1:.2e}, dynamics defect {ode:.2e}, "
@@ -154,8 +154,7 @@ def test_criterion_3_distributional_endpoint_quality():
     levels = np.cumsum(grid.weights) - grid.weights / 2
     x0 = np.interp(levels, F0.F, F0.abscissae)
     target_profile = np.interp(levels, cdf(f1).F, cdf(f1).abscissae)
-    guess = terminal_profile_guess(model, grid, x0, target_profile, 1.0, intervals,
-                                   ridge=1e-4)
+    guess = terminal_profile_guess(model, grid, x0, target_profile, 1.0, intervals)
     res = direct_shooting(model, grid, x0, MONOMIAL_OUTPUT, q, ref,
                           n_intervals=intervals, energy_weight=1e-4,
                           iterations=120, dt=2e-3, initial_guess=guess)

@@ -209,8 +209,18 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
     *[pytest.param("unlabeled_shooting.json", f"solver.{key}", v, f"solver.{key}",
                    id=f"{key}={v}")
       for key, v in (("energy_weight", "small"), ("energy_weight", -1e-3),
-                     ("optimize_dt", "fine"), ("optimize_dt", 0.0), ("guess_ridge", 0),
+                     ("optimize_dt", "fine"), ("optimize_dt", 0.0),
                      ("optimize_members", "few"), ("optimize_members", 1))],
+    *[pytest.param(name, key, v, key, id=f"{key}={v}")
+      for name, key, v in (("labeled_fixed_endpoint.json", "initial.mean", "abc"),
+                           ("labeled_fixed_endpoint.json", "initial.sigma", float("inf")),
+                           ("labeled_fixed_endpoint.json", "target.means", [0.25, "x"]),
+                           ("labeled_fixed_endpoint.json", "target.sigmas", [0.1, None]),
+                           ("labeled_fixed_endpoint.json", "target.weights", "half"),
+                           ("kuramoto_sync.json", "target.value", "pi"),
+                           ("kuramoto_sync.json", "target.value", float("nan")))],
+    pytest.param("unlabeled_shooting.json", "initial", {"kind": "constant", "value": float("nan")},
+                 "initial.value", id="initial.value=nan"),
 ])
 def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name, key, value, message):
     # also every numeric scenario field: a bad value exits 2 naming the
