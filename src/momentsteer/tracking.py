@@ -1,8 +1,9 @@
 """Control synthesis for moment tracking: pointwise minimum-norm feedback,
 fixed-endpoint LQ tracking via a boundary value problem solved by
-superposition, and direct shooting for nonlinear ensembles: L-BFGS-B on an
-RK4 objective whose gradient is its exact discrete adjoint (one forward run
-and one reverse sweep per evaluation).
+superposition, and direct shooting for nonlinear ensembles: L-BFGS with the
+Moré–Thuente line search (:mod:`momentsteer.lbfgs`; Byrd, Lu, Nocedal & Zhu
+1995, Moré & Thuente 1994) on an RK4 objective whose gradient is its exact
+discrete adjoint (one forward run and one reverse sweep per evaluation).
 
 The fixed-endpoint solution is checked by its defect against the exact
 (matrix-exponential) solution of its ODE and by its optimality gap.
@@ -14,8 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
+from . import lbfgs
 from .ensembles import (
     ControlSignal,
     LinearScalar,
@@ -400,26 +401,28 @@ def direct_shooting(
     dt: float | None = None,
     initial_guess=None,
 ) -> TrackingResult:
-    """Moment tracking by L-BFGS-B on a piecewise-constant control.
+    """Moment tracking by L-BFGS on a piecewise-constant control.
 
     The objective is the trapezoid quadrature of the moment-metric gap to the
     reference at the control-interval boundaries plus a quadratic energy
     term; the moments are those of ``basis``, so any of the three bases can
     be tracked.  Each evaluation returns the objective and its exact
-    gradient (:func:`_shooting_objective`); SciPy's L-BFGS-B (Byrd, Lu,
-    Nocedal & Zhu 1995) takes at most ``iterations`` steps, each ending at a
-    point of sufficient decrease, so the cost trace is monotone
-    nonincreasing.  A trial control whose forward run overflows counts as
-    cost ``inf``; a start that does raises :class:`SolverError`.
-    ``iterations = 0`` reports the start.
+    gradient (:func:`_shooting_objective`).  :func:`momentsteer.lbfgs.minimize`
+    takes at most ``iterations`` steps: the iteration of L-BFGS-B without
+    bounds (Byrd, Lu, Nocedal & Zhu 1995, SIAM J. Sci. Comput. 16(5)), with
+    the Moré–Thuente line search (1994, ACM TOMS 20(3)).  No accepted step
+    raises the cost, so the cost trace is monotone nonincreasing.  A trial
+    control whose forward run overflows counts as cost ``inf``, and the line
+    search steps back from it; a start that overflows raises
+    :class:`SolverError`.  ``iterations = 0`` reports the start.
 
     ``info`` holds ``cost_history`` and ``grad_norm_history`` (one entry per
     accepted iterate, the start included), ``evaluations`` (objective
     evaluations), ``iterations`` (accepted steps) and ``stop_reason``:
     ``"gradient_zero"`` (the gradient is exactly zero; the only reason that
     counts as converged), ``"budget"`` (iterations used up) or
-    ``"line_search"`` (L-BFGS-B ended abnormally, as it does at the kinks
-    of d_M).
+    ``"line_search"`` (no step lowered the cost, even after a restart along
+    the gradient, as happens at the kinks of d_M).
     """
     horizon = float(ref.time_grid[-1] - ref.time_grid[0])
     if dt is None:
@@ -450,28 +453,8 @@ def direct_shooting(
         evaluations.append((J, norm, v.reshape(n_intervals, p).copy(), mom))
         return J, g.ravel()
 
-    # L-BFGS-B ends every iteration with an evaluation at the accepted point;
-    # it accepts a failed one only after its own arithmetic overflowed
-    accepted = []
-
-    def accept(_):
-        if not np.isfinite(evaluations[-1][0]):
-            raise StopIteration
-        accepted.append(evaluations[-1])
-
-    if iterations > 0:
-        status = minimize(objective, u.ravel(), jac=True, method="L-BFGS-B", callback=accept,
-                          options={"maxiter": iterations, "gtol": 0.0, "ftol": 0.0}).status
-    else:
-        objective(u.ravel())
-        status = 1
-    history = [evaluations[0]] + accepted
-    if status == 1:
-        stop_reason = "budget"
-    elif status == 0 and history[-1][1] == 0.0:
-        stop_reason = "gradient_zero"
-    else:
-        stop_reason = "line_search"
+    accepted, stop_reason = lbfgs.minimize(objective, u.ravel(), iterations)
+    history = [evaluations[i] for i in accepted]
 
     # the accepted iterate's own forward run gives the reported moments
     J, _, u, mom = history[-1]
@@ -486,7 +469,7 @@ def direct_shooting(
             "cost_history": np.array([e[0] for e in history]),
             "grad_norm_history": np.array([e[1] for e in history]),
             "evaluations": len(evaluations),
-            "iterations": len(accepted),
+            "iterations": len(accepted) - 1,
             "stop_reason": stop_reason,
         },
     )

@@ -483,14 +483,26 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys, command):
     assert f"configuration error: cannot read scenario {missing}" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy_integrator():
-    # the TPBVP check is the exact exponential solution, so start-up needs no
-    # ODE solver; scipy.optimize (direct shooting) still loads
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def test_cli_loads_no_scipy(tmp_path):
+    # the package needs no SciPy: not at import, and not to track and
+    # validate any shipped scenario, shooting included
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, momentsteer.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, json, momentsteer.cli as cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "loaded = {'import': scipy()}\n"
+        "for i, path in enumerate(sys.argv[2:]):\n"
+        "    out = f'{sys.argv[1]}/{i}'\n"
+        "    codes = [cli.main([cmd, '--scenario', path, '--out', out]) for cmd in ('track', 'validate')]\n"
+        "    loaded[path] = codes + scipy()\n"
+        "print(json.dumps(loaded))\n"
+    )
+    scenarios = sorted(str(p) for p in (root / "scenarios").glob("*.json"))
+    assert len(scenarios) == 4
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *scenarios], env=env,
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"import": [], **{path: [0, 0] for path in scenarios}}

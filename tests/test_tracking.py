@@ -444,6 +444,49 @@ def _shooting_case(kind):
         ot_moment_reference(plan, MONOMIAL_PARAM, q, tgrid)
 
 
+def _scipy_run(fun, x0, maxiter):
+    """(costs of the start and each accepted iterate, evaluations, stop) of L-BFGS-B."""
+    from scipy.optimize import minimize
+
+    costs = []
+
+    def counted(x):
+        costs.append(fun(x))
+        return costs[-1]
+
+    accepted = [0]
+    res = minimize(counted, x0, jac=True, method="L-BFGS-B",
+                   callback=lambda _: accepted.append(len(costs) - 1),
+                   options={"maxiter": maxiter, "gtol": 0.0, "ftol": 0.0})
+    if res.status == 1:
+        stop = "budget"
+    elif res.status == 0 and not costs[accepted[-1]][1].any():
+        stop = "gradient_zero"
+    else:  # ended abnormally, or by a step that lowered nothing
+        stop = "line_search"
+    return np.array([costs[i][0] for i in accepted]), len(costs), stop
+
+
+def _scipy_shooting(model, g, x0, basis, q, ref, iterations):
+    """The SciPy L-BFGS-B run that ``direct_shooting`` made before: the same
+    objective, with cost inf where the forward run fails."""
+    from momentsteer.tracking import _shooting_objective
+
+    n_int = ref.time_grid.size - 1
+    m_ref = ref.value(ref.time_grid)
+
+    def fun(v):
+        u = v.reshape(n_int, model.n_inputs)
+        try:
+            J, grad, _ = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0,
+                                             1.0 / n_int / 10, 1e-3)
+        except SolverError:
+            return np.inf, np.zeros(v.size)
+        return J, grad.ravel()
+
+    return _scipy_run(fun, np.zeros(n_int * model.n_inputs), iterations)
+
+
 @pytest.mark.parametrize("kind", ["output", "param", "kuramoto"])
 def test_shooting_adjoint_gradient_matches_central_differences(kind):
     # the objective is re-evaluated independently through simulate and
@@ -560,12 +603,16 @@ def test_shooting_stop_reasons():
     assert res.info["stop_reason"] == "budget" and not res.converged
     _check_history(res, 2)
 
-    # the objective is a sum of absolute gaps; L-BFGS-B ends abnormally at
-    # its kinks, where no step passes the line search
+    # the objective is a sum of absolute gaps; L-BFGS ends at its kinks,
+    # where no step passes the line search even after a memory reset.
+    # SciPy's L-BFGS-B ends there too.  Which kink depends on rounding that
+    # grows along the run: this run stopped after 49 iterations, L-BFGS-B
+    # after 92 (NumPy 2.4, SciPy 1.17)
     res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=400)
     assert res.info["stop_reason"] == "line_search" and not res.converged
     _check_history(res, res.info["iterations"])
     assert 0 < res.info["iterations"] < 400
+    assert _scipy_shooting(model, g, x0, basis, q, ref, 400)[2] == "line_search"
 
 
 def test_shooting_survives_overflowing_trial(monkeypatch):
@@ -596,6 +643,36 @@ def test_shooting_survives_overflowing_trial(monkeypatch):
     assert res.info["stop_reason"] in ("line_search", "budget")
     _check_history(res, res.info["iterations"])
     assert np.all(np.isfinite(res.control.values))
+
+
+def test_shooting_continues_after_failed_trial(monkeypatch):
+    # controls with an entry beyond 0.6 stand for forward runs that overflow:
+    # the first unit-length trial is one, and the line search steps back
+    # inside instead of ending the run
+    from momentsteer import tracking
+
+    objective = tracking._shooting_objective
+    costs = []
+
+    def bounded(*args):
+        if np.abs(args[6]).max() > 0.6:
+            costs.append(np.inf)
+            raise SolverError("non-finite shooting cost")
+        result = objective(*args)
+        costs.append(result[0])
+        return result
+
+    monkeypatch.setattr(tracking, "_shooting_objective", bounded)
+    model, g, x0, basis, q, ref = _shooting_case("output")
+    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=10)
+    first_failure = costs.index(np.inf)
+    assert first_failure == 1
+    _check_history(res, 10)
+    assert res.info["stop_reason"] == "budget"
+    # every accepted step came after the failed trial and stayed inside
+    assert all(costs.index(c) > first_failure for c in res.info["cost_history"][1:])
+    assert np.abs(res.control.values).max() <= 0.6
+    assert res.cost < 0.1 * res.info["cost_history"][0]
 
 
 def test_shooting_grad_norm_history_finite_for_huge_gradients():
