@@ -216,8 +216,11 @@ def cmd_track(scn: Scenario, out: Path) -> int:
                np.column_stack([result.times, _re_im(result.moments)]))
     _write_csv(out / "residual.csv", ["t", "residual"],
                np.column_stack([result.times, result.residuals]))
+    # one row per control-interval boundary; the replay itself ran at dt
+    per = _steps_per_interval(result.control.horizon / result.control.values.shape[0], scn.dt)
     header = ["t"] + [f"member_{j}" for j in range(grid.size)]
-    _write_csv(out / "trajectory.csv", header, np.column_stack([traj.times, traj.states]))
+    _write_csv(out / "trajectory.csv", header,
+               np.column_stack([traj.times[::per], traj.states[::per]]))
 
     # the moment-space residuals cannot see members that blow up in the replay
     replay_max = float(np.max(np.abs(traj.states)))

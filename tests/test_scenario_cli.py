@@ -165,23 +165,85 @@ def test_track_exact_full_row_rank_meets_tolerance(tmp_path):
         assert (out / name).exists()
 
 
-def test_trajectory_csv_round_trip_is_exact(tmp_path):
-    # validate reads the replayed final members back from trajectory.csv; the
-    # %.17g text must give them back bit for bit, and control.csv the control
+def _replay_from_control_csv(path, out):
+    """The full-resolution replay of the control that ``track`` wrote to
+    ``out``, rebuilt from control.csv alone, and the control's start times."""
     from momentsteer import ControlSignal, simulate
-    from momentsteer.cli import _final_states_from_csv
 
-    path = _write(tmp_path, _case_one_track_scenario(p=5, q=4))
-    out = tmp_path / "round_trip"
-    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
     scn = load_scenario(path)
     grid = scn.build_grid()
     rows = np.loadtxt(out / "control.csv", delimiter=",", skiprows=1, ndmin=2)
     control = ControlSignal(np.append(rows[:, 0], scn.horizon), rows[:, 1:])
     replay = simulate(scn.build_model(), scn.initial_state(grid), grid, control, scn.dt)
+    return replay, rows[:, 0]
+
+
+def test_trajectory_csv_round_trip_is_exact(tmp_path):
+    # validate reads the replayed final members back from trajectory.csv; the
+    # %.17g text must give them back bit for bit, and control.csv the control
+    from momentsteer.cli import _final_states_from_csv
+
+    path = _write(tmp_path, _case_one_track_scenario(p=5, q=4))
+    out = tmp_path / "round_trip"
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    replay, _ = _replay_from_control_csv(path, out)
     final = _final_states_from_csv(out / "trajectory.csv")
     assert final.tobytes() == replay.states[-1].tobytes()
     assert np.ptp(np.log10(np.abs(final))) > 1  # values over more than a decade
+    # the exact solver's control grid is the dt grid: one row per RK4 step
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 1000 + 1
+    assert rows.tobytes() == np.column_stack([replay.times, replay.states]).tobytes()
+
+
+def _small_shooting_scenario():
+    # 4 intervals of 25 RK4 steps each
+    return _linear_sim_scenario(dt=0.01, solver={"method": "shooting", "intervals": 4,
+                                                 "iterations": 3})
+
+
+def test_shooting_trajectory_csv_on_control_grid(tmp_path):
+    # track writes one row per control-interval boundary: the instants of
+    # control.csv plus T, sampled from the dt replay
+    from momentsteer.cli import _final_states_from_csv
+
+    path = _write(tmp_path, _small_shooting_scenario())
+    out = tmp_path / "grid"
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    replay, starts = _replay_from_control_csv(path, out)
+    per = 25
+    assert replay.states.shape[0] == 4 * per + 1
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (4 + 1, 1 + 16)
+    assert rows[:, 0].tobytes() == replay.times[::per].tobytes()
+    np.testing.assert_allclose(rows[:, 0], np.append(starts, 1.0), rtol=0, atol=1e-12)
+    assert rows[:, 1:].tobytes() == replay.states[::per].tobytes()
+    final = _final_states_from_csv(out / "trajectory.csv")
+    assert final.tobytes() == replay.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "kuramoto"])
+def test_replay_summary_is_full_resolution(tmp_path, kind):
+    # replay_max_abs_state (and the Kuramoto final_order_parameter) come from
+    # every dt step of the replay, not from the rows of trajectory.csv.  A
+    # linear member is monotone within an interval, so its peak is on a row;
+    # only the Kuramoto case tells the two maxima apart
+    from momentsteer.ensembles import mean_field
+
+    spec = (_small_shooting_scenario() if kind == "linear" else
+            _kuramoto_scenario(solver={"method": "shooting", "intervals": 8, "iterations": 3}))
+    path = _write(tmp_path, spec)
+    out = tmp_path / kind
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    replay, _ = _replay_from_control_csv(path, out)
+    assert summary["replay_max_abs_state"] == float(np.max(np.abs(replay.states)))
+    if kind == "kuramoto":
+        r_final, _ = mean_field(replay.states[-1], replay.grid)
+        assert summary["final_order_parameter"] == float(r_final)
+        # the wrapped phases peak between the written rows, so the check has teeth
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 1:])) < summary["replay_max_abs_state"]
 
 
 def test_track_exact_threshold_violation_exits_4(tmp_path):
