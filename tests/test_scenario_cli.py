@@ -205,8 +205,6 @@ def _small_shooting_scenario():
 def test_shooting_trajectory_csv_on_control_grid(tmp_path):
     # track writes one row per control-interval boundary: the instants of
     # control.csv plus T, sampled from the dt replay
-    from momentsteer.cli import _final_states_from_csv
-
     path = _write(tmp_path, _small_shooting_scenario())
     out = tmp_path / "grid"
     assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
@@ -218,8 +216,7 @@ def test_shooting_trajectory_csv_on_control_grid(tmp_path):
     assert rows[:, 0].tobytes() == replay.times[::per].tobytes()
     np.testing.assert_allclose(rows[:, 0], np.append(starts, 1.0), rtol=0, atol=1e-12)
     assert rows[:, 1:].tobytes() == replay.states[::per].tobytes()
-    final = _final_states_from_csv(out / "trajectory.csv")
-    assert final.tobytes() == replay.states[-1].tobytes()
+    assert rows[-1, 1:].tobytes() == replay.states[-1].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["linear", "kuramoto"])
