@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
     for workload in workloads:
-        runs = record["workloads"].setdefault(workload, {"parent": [], "change": []})
+        runs = record["workloads"][workload] = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
                   "workloads": {}, "summary": {}}
         record.setdefault("extra_series", []).append(series)
         for workload in workloads:
-            runs = series["workloads"].setdefault(workload, {"parent": [], "change": []})
+            runs = series["workloads"][workload] = {"parent": [], "change": []}
             for side in SIDES:
                 runs[side].append(_run(roots_1t[side], workload, args.seed, args.seconds, 0,
                                        {"OPENBLAS_NUM_THREADS": "1"}))
