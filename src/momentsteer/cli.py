@@ -108,20 +108,17 @@ def cmd_plan(scn: Scenario, out: Path) -> int:
 def _check_thresholds(scn: Scenario, summary: dict) -> list:
     failures = []
     th = scn.thresholds
-    if "max_residual" in th and summary["max_residual"] > th["max_residual"]:
+    if th["max_residual"] is not None and summary["max_residual"] > th["max_residual"]:
         failures.append("max_residual")
-    if "boundary_residual" in th:
-        worst = max(
-            summary.get("boundary_residual_start", 0.0),
-            summary.get("boundary_residual_end", 0.0),
-        )
-        if worst > th["boundary_residual"]:
-            failures.append("boundary_residual")
-    if "final_order_parameter" in th and (
-        summary.get("final_order_parameter", 1.0) < th["final_order_parameter"]
+    if th["boundary_residual"] is not None and max(
+        summary["boundary_residual_start"], summary["boundary_residual_end"]
+    ) > th["boundary_residual"]:
+        failures.append("boundary_residual")
+    if th["final_order_parameter"] is not None and (
+        summary["final_order_parameter"] < th["final_order_parameter"]
     ):
         failures.append("final_order_parameter")
-    if "cost" in th and summary["cost"] > th["cost"]:
+    if th["cost"] is not None and summary["cost"] > th["cost"]:
         failures.append("cost")
     return failures
 
@@ -137,6 +134,10 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     grid = scn.build_grid()
     x0 = scn.initial_state(grid)
     method = scn.solver["method"]
+    if scn.thresholds["boundary_residual"] is not None and method != "tpbvp":
+        raise ConfigError("thresholds.boundary_residual is reported only by the tpbvp solver")
+    if scn.thresholds["final_order_parameter"] is not None and not isinstance(model, Kuramoto):
+        raise ConfigError("thresholds.final_order_parameter is reported only by Kuramoto runs")
     checks = {}  # the fixed-endpoint solve's verification, reported in the summary
 
     if method in ("exact", "tpbvp"):
@@ -146,7 +147,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         if isinstance(model, Kuramoto):
             raise ConfigError(f"solver '{method}' needs the linear model")
         n_steps = _steps_per_interval(scn.horizon, scn.dt)
-        if method == "tpbvp" and scn.solver.get("verify", False):
+        if method == "tpbvp" and scn.solver["verify"]:
             try:  # the optimality gap's grid, checked before the solve
                 _steps_per_interval(scn.horizon / VARIATION_INTERVALS, scn.dt / 2)
             except ConfigError:
@@ -159,37 +160,32 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             result = exact_tracking_feedback(sys_, ref, ref.m_star[0].real, scn.dt)
         else:
             setup = LQSetup(
-                float(scn.solver.get("r_scale", 1.0)) * np.eye(model.n_inputs),
+                scn.solver["r_scale"] * np.eye(model.n_inputs),
                 ref.m_star[0].real,
                 ref.m_star[-1].real,
             )
             result = lq_tracking_tpbvp(sys_, ref, setup, scn.dt)
-            if scn.solver.get("verify", False):
+            if scn.solver["verify"]:
                 checks["ode_residual"] = tpbvp_ode_residual(sys_, setup, ref, result)
                 checks["optimality_gap"] = tpbvp_optimality_gap(sys_, ref, setup, result)
     else:
-        intervals = int(scn.solver.get("intervals", 50))
+        intervals = scn.solver["intervals"]
         _steps_per_interval(scn.horizon / intervals, scn.dt)  # replay grid, checked early
         tgrid = np.linspace(0.0, scn.horizon, intervals + 1)
         # the optimizer may run on a coarser member grid; for the linear
         # family the control generalizes exactly (members are uncoupled),
         # for the mean-field model it is a quadrature refinement
-        opt_grid = scn.build_grid(scn.solver.get("optimize_members"))
+        opt_grid = scn.build_grid(scn.solver["optimize_members"])
         opt_x0 = scn.initial_state(opt_grid)
         _, ref = scn.build_reference(opt_grid, tgrid)
-        guess_kind = scn.solver.get("initial_guess", "zero")
-        if guess_kind == "terminal_profile":
+        guess = None
+        if scn.solver["initial_guess"] == "terminal_profile":
             if isinstance(model, Kuramoto):
                 raise ConfigError("terminal_profile guesses apply to the linear model")
-            mu1 = scn.resolve_measure(scn.target, "target")
             target_profile = np.asarray(
-                quantile(cdf(mu1), scn.member_levels(opt_grid)), dtype=float)
+                quantile(cdf(scn.resolve_target()), scn.member_levels(opt_grid)), dtype=float)
             guess = terminal_profile_guess(
                 model, opt_grid, opt_x0, target_profile, scn.horizon, intervals)
-        elif guess_kind == "zero":
-            guess = None
-        else:
-            raise ConfigError(f"unknown initial_guess '{guess_kind}'")
         result = direct_shooting(
             model,
             opt_grid,
@@ -198,9 +194,9 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             scn.q,
             ref,
             n_intervals=intervals,
-            energy_weight=float(scn.solver.get("energy_weight", 1e-3)),
-            iterations=int(scn.solver.get("iterations", 300)),
-            dt=scn.solver.get("optimize_dt"),
+            energy_weight=scn.solver["energy_weight"],
+            iterations=scn.solver["iterations"],
+            dt=scn.solver["optimize_dt"],
             initial_guess=guess,
         )
 
@@ -223,7 +219,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
                np.column_stack([traj.times[::per], traj.states[::per]]))
 
     # the moment-space residuals cannot see members that blow up in the replay
-    replay_max = float(np.max(np.abs(traj.states)))
+    replay_max = float(abs(max(traj.states.max(), -traj.states.min())))  # no |states| copy
     start_max = max(1.0, float(np.max(np.abs(x0))))
     if replay_max > REPLAY_BLOWUP * start_max:
         warnings.warn(
@@ -296,18 +292,16 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
     final = _final_states_from_csv(path)
     if final.size != grid.size:
         raise ConfigError("trajectory members do not match the scenario grid")
-    if scn.target is None:
-        raise ConfigError("missing required field 'target' in scenario")
+    target = scn.resolve_target()
     rng = np.random.default_rng(scn.seed if seed is None else seed)
     payload: dict = {"basis": scn.basis}
 
     if scn.basis == FOURIER:
-        theta_star = float(scn.target["value"])
         mu_final = pushforward(grid, np.mod(final, 2 * np.pi))
         sampled = sample_empirical(mu_final, scn.samples, rng)
-        payload["w2"] = wasserstein_to_point_circular(sampled, theta_star)
+        payload["w2"] = wasserstein_to_point_circular(sampled, target)
         m_final = moments_fourier(mu_final, scn.q).values
-        point = EmpiricalMeasure(np.array([theta_star % (2 * np.pi)]), np.ones(1))
+        point = EmpiricalMeasure(np.array([target % (2 * np.pi)]), np.ones(1))
         payload["d_m"] = moment_metric_values(m_final, moments_fourier(point, scn.q).values)
         r_final, _ = mean_field(final, grid)
         payload["final_order_parameter"] = float(r_final)
@@ -315,12 +309,10 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         m_final = member_moments(final, grid, MONOMIAL_OUTPUT, scn.q)
         if not np.all(np.isfinite(m_final)):
             raise SolverError(f"order-{scn.q} moments of the final states in {path} overflow")
-        target = scn.resolve_measure(scn.target, "target")
         sampled = sample_empirical(pushforward(grid, final), scn.samples, rng)
         payload["w2"] = wasserstein(sampled, target)
         payload["d_m"] = moment_metric_values(m_final, _target_power_moments(target, scn.q))
     else:
-        target = scn.resolve_measure(scn.target, "target")
         clipped = np.clip(final, 0.0, None)
         # on the scale of m_0 = sum_j w_j x_j, independent of the member count
         payload["clipped_negative_mass"] = float((clipped - final) @ grid.weights)
@@ -333,7 +325,7 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         m_final = member_moments(final, grid, MONOMIAL_PARAM, scn.q)
         payload["d_m"] = moment_metric_values(m_final, moments_density(target, scn.q).values)
 
-    threshold = scn.thresholds.get("w2")
+    threshold = scn.thresholds["w2"]
     payload["threshold_w2"] = threshold
     payload["passed"] = bool(threshold is None or payload["w2"] <= threshold)
     _write_json(out / "validation.json", payload)

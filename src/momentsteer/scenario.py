@@ -1,16 +1,18 @@
 """Scenario files: strict parsing, and resolution into models, grids,
 measures, initial states and transport references.
 
-A scenario is a single JSON document with nested sections.  Unknown keys are
-rejected so that typos fail fast; missing required fields are reported by
-name.
+A scenario is a single JSON object with nested sections.  Its format is the
+field table ``_SCENARIO`` below: every field's rule and default.  Loading
+checks every field against it, so unknown keys, missing fields and values of
+the wrong kind or range fail fast with a ConfigError naming the field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,256 +32,236 @@ from .transport import circular_plan, mccann_plan, ot_moment_reference
 
 __all__ = ["Scenario", "load_scenario"]
 
-_MODEL_KEYS = {"kind", "inputs", "coupling"}
-_GRID_KEYS = {"members", "lo", "hi"}
-_MEASURE_KEYS = {"kind", "value", "mean", "sigma", "means", "sigmas", "weights"}
-_SOLVER_KEYS = {
-    "method",
-    "r_scale",
-    "verify",
-    "intervals",
-    "iterations",
-    "energy_weight",
-    "initial_guess",
-    "optimize_dt",
-    "optimize_members",
+
+@dataclass(frozen=True)
+class _Num:
+    """Rule: a finite number (an integer if ``integer``) in [low, high], or
+    above ``low`` if ``strict``.  A number that need not be an integer is
+    loaded as a float."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    integer: bool = False
+    strict: bool = False
+
+    def check(self, value, name: str):
+        ok = not isinstance(value, bool) and isinstance(value, int if self.integer else (int, float))
+        # abs(value) <= float max: finite, and also false for nan and for an
+        # integer too large to convert
+        if not (ok and (self.integer or abs(value) <= sys.float_info.max) and value <= self.high
+                and (value > self.low if self.strict else value >= self.low)):
+            text = "an integer" if self.integer else "a finite number"
+            if self.low > -math.inf:
+                text += f" {'>' if self.strict else '>='} {self.low:g}"
+            if self.high < math.inf:
+                text += f" and <= {self.high:g}"
+            raise ConfigError(f"{name} must be {text}, got {value!r}")
+        return value if self.integer else float(value)
+
+
+@dataclass(frozen=True)
+class _Variants:
+    """Rule: an object whose other keys depend on the value of ``key``;
+    ``tables`` maps each allowed value to the field table of the other keys."""
+
+    key: str
+    tables: dict
+
+
+# The field table: key -> (rule, default).  A rule is a _Num, a tuple of the
+# allowed values, ``bool``, ``[rule]`` for a list, a nested field table or a
+# _Variants.  _REQUIRED marks a field without a default; a default of None
+# means "not set", and such a field also accepts null.
+_REQUIRED = object()
+_NUMBER = _Num()
+_MEASURES = {
+    "uniform": {},
+    "truncated_gaussian": {"mean": (_NUMBER, _REQUIRED), "sigma": (_NUMBER, _REQUIRED)},
+    "gaussian_mixture": {key: ([_NUMBER], _REQUIRED) for key in ("means", "sigmas", "weights")},
+    "point_mass": {"value": (_NUMBER, _REQUIRED)},
 }
-# optional numeric fields: (section, key, lowest value, integer, bound strict)
-_NUMBERS = [("model", "inputs", 1, True, False), ("model", "coupling", 0, False, False),
-            ("solver", "intervals", 1, True, False), ("solver", "iterations", 0, True, False),
-            ("solver", "r_scale", 0, False, True), ("solver", "energy_weight", 0, False, False),
-            ("solver", "optimize_dt", 0, False, True),
-            ("solver", "optimize_members", 2, True, False)]
-# number fields of a measure spec, and those that hold one number per component
-_MEASURE_NUMBERS = ("value", "mean", "sigma")
-_MEASURE_LISTS = ("means", "sigmas", "weights")
-_THRESHOLD_KEYS = {"max_residual", "boundary_residual", "final_order_parameter", "w2", "cost"}
-_TOP_KEYS = {
-    "model",
-    "grid",
-    "initial",
-    "target",
-    "basis",
-    "q",
-    "horizon",
-    "dt",
-    "solver",
-    "thresholds",
-    "seed",
-    "samples",
-    "reference_points",
+_SCENARIO = {
+    "model": (_Variants("kind", {
+        "linear": {"inputs": (_Num(1, integer=True), 1)},
+        "kuramoto": {"coupling": (_Num(0), 0.0)},
+    }), _REQUIRED),
+    "grid": ({"members": (_Num(2, integer=True), _REQUIRED), "lo": (_NUMBER, _REQUIRED),
+              "hi": (_NUMBER, _REQUIRED)}, _REQUIRED),
+    # initial conditions only: constant member values, phases spread over the circle
+    "initial": (_Variants("kind", {**_MEASURES, "constant": {"value": (_NUMBER, _REQUIRED)},
+                                   "uniform_circle": {}}), _REQUIRED),
+    "target": (_Variants("kind", _MEASURES), None),
+    "basis": ((MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER), _REQUIRED),
+    "q": (_Num(1, 16, integer=True), _REQUIRED),
+    "horizon": (_Num(0), _REQUIRED),
+    "dt": (_Num(0, strict=True), _REQUIRED),
+    "solver": (_Variants("method", {
+        "exact": {},
+        "tpbvp": {"r_scale": (_Num(0, strict=True), 1.0), "verify": (bool, False)},
+        "shooting": {
+            "intervals": (_Num(1, integer=True), 50),
+            "iterations": (_Num(0, integer=True), 300),
+            "energy_weight": (_Num(0), 1e-3),
+            "initial_guess": (("zero", "terminal_profile"), "zero"),
+            "optimize_dt": (_Num(0, strict=True), None),
+            "optimize_members": (_Num(2, integer=True), None),
+        },
+    }), _REQUIRED),
+    "thresholds": ({key: (_NUMBER, None) for key in (
+        "max_residual", "boundary_residual", "final_order_parameter", "w2", "cost")}, {}),
+    "seed": (_Num(0, integer=True), 0),
+    "samples": (_Num(1, integer=True), 1000),
+    "reference_points": (_Num(2, integer=True), 201),
 }
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def _check(rule, value, name: str):
+    """``value`` checked against ``rule``, with every default filled in; a
+    ConfigError names the first field that breaks the rule.  ``name`` is the
+    field's dotted path, empty for the whole scenario."""
+    if isinstance(rule, _Num):
+        return rule.check(value, name)
+    if rule is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        return value
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ConfigError(f"{name} must be one of {list(rule)}, got {value!r}")
+        return value
+    if isinstance(rule, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_check(rule[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
+    where = name or "scenario"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    if isinstance(rule, _Variants):
+        tag = _field(value, rule.key, tuple(rule.tables), _REQUIRED, name)
+        where = f"{where} with {rule.key} {tag!r}"
+        rule = {rule.key: (tuple(rule.tables), _REQUIRED), **rule.tables[tag]}
+    unknown = set(value) - set(rule)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return {key: _field(value, key, sub, default, name) for key, (sub, default) in rule.items()}
 
 
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required field '{key}' in {where}")
-    return section[key]
-
-
-def _check_measure(spec: dict, where: str):
-    """Reject a measure spec with an unknown key or a number field that is
-    not a finite number; a list field is checked element by element."""
-    _check_keys(spec, _MEASURE_KEYS, where)
-    for key in _MEASURE_NUMBERS + _MEASURE_LISTS:
-        value = spec.get(key)
-        if key in _MEASURE_LISTS and isinstance(value, list):
-            for i, v in enumerate(value):
-                _number(v, f"{where}.{key}[{i}]")
-        elif key in spec:
-            _number(value, f"{where}.{key}")
-
-
-def _number(value, name: str, low: float = -math.inf, integer: bool = False,
-            strict: bool = False):
-    """``value`` if it is a finite number (an integer if ``integer``) of at
-    least ``low`` (above it if ``strict``); else a ConfigError naming ``name``."""
-    ok = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
-    if not (ok and (integer or math.isfinite(value)) and (value > low if strict else value >= low)):
-        kind = "an integer" if integer else "a finite number"
-        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
-        raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
-    return value
+def _field(section: dict, key: str, rule, default, name: str):
+    path = f"{name}.{key}" if name else key
+    value = section.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required field '{path}'")
+    return None if value is None and default is None else _check(rule, value, path)
 
 
 @dataclass
 class Scenario:
-    """Validated scenario: everything a pipeline run needs, nothing implicit."""
+    """Validated scenario: every field of ``_SCENARIO``, defaults filled in."""
 
     model: dict
     grid: dict
     initial: dict
+    target: dict | None
     basis: str
     q: int
     horizon: float
     dt: float
     solver: dict
-    target: dict | None = None
-    thresholds: dict = field(default_factory=dict)
-    seed: int = 0
-    samples: int = 1000
-    reference_points: int = 201
+    thresholds: dict
+    seed: int
+    samples: int
+    reference_points: int
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        _check_keys(raw, _TOP_KEYS, "scenario")
-        model = dict(_need(raw, "model", "scenario"))
-        _check_keys(model, _MODEL_KEYS, "model")
-        kind = _need(model, "kind", "model")
-        if kind not in ("linear", "kuramoto"):
-            raise ConfigError(f"unknown model kind '{kind}'")
-        grid = dict(_need(raw, "grid", "scenario"))
-        _check_keys(grid, _GRID_KEYS, "grid")
-        _number(_need(grid, "members", "grid"), "grid.members", 2, integer=True)
-        for k in ("lo", "hi"):
-            _number(_need(grid, k, "grid"), f"grid.{k}")
-        initial = dict(_need(raw, "initial", "scenario"))
-        _check_measure(initial, "initial")
-        target = raw.get("target")
-        if target is not None:
-            target = dict(target)
-            _check_measure(target, "target")
-        basis = _need(raw, "basis", "scenario")
-        if basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
-            raise ConfigError(f"unknown basis '{basis}'")
-        q = _number(_need(raw, "q", "scenario"), "q", 1, integer=True)
-        if q > 16:
-            raise ConfigError("q must lie in [1, 16]")
-        horizon = float(_number(_need(raw, "horizon", "scenario"), "horizon", 0))
-        dt = float(_number(_need(raw, "dt", "scenario"), "dt", 0, strict=True))
-        solver = dict(_need(raw, "solver", "scenario"))
-        _check_keys(solver, _SOLVER_KEYS, "solver")
-        method = _need(solver, "method", "solver")
-        if method not in ("exact", "tpbvp", "shooting"):
-            raise ConfigError(f"unknown solver method '{method}'")
-        sections = {"model": model, "solver": solver}
-        for where, key, low, integer, strict in _NUMBERS:
-            if key in sections[where]:
-                _number(sections[where][key], f"{where}.{key}", low, integer, strict)
-        thresholds = dict(raw.get("thresholds", {}))
-        _check_keys(thresholds, _THRESHOLD_KEYS, "thresholds")
-        return cls(
-            model=model,
-            grid=grid,
-            initial=initial,
-            basis=basis,
-            q=q,
-            horizon=horizon,
-            dt=dt,
-            solver=solver,
-            target=target,
-            thresholds=thresholds,
-            seed=_number(raw.get("seed", 0), "seed", 0, integer=True),
-            samples=_number(raw.get("samples", 1000), "samples", 1, integer=True),
-            reference_points=_number(raw.get("reference_points", 201), "reference_points", 2,
-                                     integer=True),
-        )
+        return cls(**_check(_SCENARIO, raw, ""))
 
     def to_dict(self) -> dict:
-        """The scenario as a JSON object; an absent target or empty thresholds are left out."""
-        return {k: v for k, v in vars(self).items() if v is not None and v != {}}
+        """The scenario as a JSON object, with its defaults filled in."""
+        return asdict(self)
 
     def build_model(self):
         if self.model["kind"] == "linear":
-            return LinearScalar(int(self.model.get("inputs", 1)))
-        return Kuramoto(float(self.model.get("coupling", 0.0)))
+            return LinearScalar(self.model["inputs"])
+        return Kuramoto(self.model["coupling"])
 
     def build_grid(self, members: int | None = None) -> ParameterGrid:
         """The scenario's parameter grid, optionally with another member count."""
         g = self.grid
-        n = int(g["members"] if members is None else members)
-        return make_uniform_grid(n, float(g["lo"]), float(g["hi"]))
+        return make_uniform_grid(g["members"] if members is None else members, g["lo"], g["hi"])
 
     def resolve_measure(self, spec: dict, where: str):
-        kind = _need(spec, "kind", where)
+        kind = spec["kind"]
         if kind == "uniform":
             return GridDensity((0.0, 1.0), np.ones(2001))
         if kind == "truncated_gaussian":
-            return truncated_gaussian(float(_need(spec, "mean", where)),
-                                      float(_need(spec, "sigma", where)))
+            return truncated_gaussian(spec["mean"], spec["sigma"])
         if kind == "gaussian_mixture":
-            return truncated_gaussian_mixture(
-                _need(spec, "means", where), _need(spec, "sigmas", where),
-                _need(spec, "weights", where))
+            return truncated_gaussian_mixture(spec["means"], spec["sigmas"], spec["weights"])
         if kind == "point_mass":
-            return EmpiricalMeasure(np.array([float(_need(spec, "value", where))]),
-                                    np.array([1.0]))
-        if kind == "uniform_circle":
-            raise ConfigError(f"'uniform_circle' is only valid as an initial condition ({where})")
-        if kind == "constant":
-            raise ConfigError(f"'constant' is only valid as an initial condition ({where})")
-        raise ConfigError(f"unknown measure kind '{kind}' in {where}")
+            return EmpiricalMeasure(np.array([spec["value"]]), np.array([1.0]))
+        raise ConfigError(f"{where} kind '{kind}' is not valid for the {self.basis} basis")
+
+    def resolve_target(self):
+        """The target: its angle for a phase ensemble, else its measure."""
+        if self.target is None:
+            raise ConfigError("missing required field 'target'")
+        if self.basis != FOURIER:
+            return self.resolve_measure(self.target, "target")
+        if self.target["kind"] != "point_mass":
+            raise ConfigError("phase ensembles support point-mass targets only")
+        return self.target["value"]
 
     def member_levels(self, grid: ParameterGrid) -> np.ndarray:
         return np.cumsum(grid.weights) - grid.weights / 2
 
     def initial_state(self, grid: ParameterGrid) -> np.ndarray:
         """Member values realizing the initial spec for the chosen basis."""
-        kind = _need(self.initial, "kind", "initial")
+        kind = self.initial["kind"]
         if self.basis == MONOMIAL_PARAM:
             if kind == "constant":
-                return np.full(grid.size, float(_need(self.initial, "value", "initial")))
+                return np.full(grid.size, self.initial["value"])
             dens = self.resolve_measure(self.initial, "initial")
             if not isinstance(dens, GridDensity):
                 raise ConfigError("labeled runs need a density-valued initial condition")
             return np.interp(grid.nodes, dens.xs, dens.values)
         if self.basis == MONOMIAL_OUTPUT:
             if kind == "constant":
-                return np.full(grid.size, float(_need(self.initial, "value", "initial")))
+                return np.full(grid.size, self.initial["value"])
             mu0 = self.resolve_measure(self.initial, "initial")
             return np.asarray(quantile(cdf(mu0), self.member_levels(grid)), dtype=float)
         # fourier: phases on the circle
         if kind == "uniform_circle":
             return 2 * np.pi * self.member_levels(grid)
         if kind == "point_mass":
-            return np.full(grid.size, float(_need(self.initial, "value", "initial")) % (2 * np.pi))
+            return np.full(grid.size, self.initial["value"] % (2 * np.pi))
         raise ConfigError(f"initial kind '{kind}' is not valid for phase ensembles")
 
     def initial_output_measure(self, grid: ParameterGrid):
         """The initial condition as a measure, for transport planning."""
-        if self.basis == MONOMIAL_PARAM:
-            kind = _need(self.initial, "kind", "initial")
-            if kind == "constant":
-                value = float(_need(self.initial, "value", "initial"))
-                half = (grid.nodes[1] - grid.nodes[0]) / 2  # midpoint-rule margin
-                support = (grid.nodes[0] - half, grid.nodes[-1] + half)
-                return GridDensity.normalized(support, np.full(64, value))
+        if self.basis == FOURIER:
+            return EmpiricalMeasure(self.initial_state(grid), grid.weights.copy())
+        if self.initial["kind"] != "constant":
             return self.resolve_measure(self.initial, "initial")
+        value = self.initial["value"]
         if self.basis == MONOMIAL_OUTPUT:
-            kind = _need(self.initial, "kind", "initial")
-            if kind == "constant":
-                return EmpiricalMeasure(
-                    np.array([float(_need(self.initial, "value", "initial"))]), np.array([1.0]))
-            return self.resolve_measure(self.initial, "initial")
-        return EmpiricalMeasure(self.initial_state(grid), grid.weights.copy())
+            return EmpiricalMeasure(np.array([value]), np.array([1.0]))
+        half = (grid.nodes[1] - grid.nodes[0]) / 2  # midpoint-rule margin
+        support = (grid.nodes[0] - half, grid.nodes[-1] + half)
+        return GridDensity.normalized(support, np.full(64, value))
 
     def build_reference(self, grid: ParameterGrid, time_grid=None):
         """Transport plan and moment reference from initial to target.
 
         The unit transport stage is traversed over the scenario horizon.
         """
-        if self.target is None:
-            raise ConfigError("missing required field 'target' in scenario")
+        target = self.resolve_target()
         if self.horizon <= 0:
             raise ConfigError("reference construction needs a positive horizon")
         if time_grid is None:
             time_grid = np.linspace(0.0, self.horizon, self.reference_points)
-        if self.basis == FOURIER:
-            tkind = _need(self.target, "kind", "target")
-            if tkind != "point_mass":
-                raise ConfigError("phase ensembles support point-mass targets only")
-            theta_star = float(_need(self.target, "value", "target"))
-            plan = circular_plan(self.initial_output_measure(grid), theta_star)
-        else:
-            mu0 = self.initial_output_measure(grid)
-            mu1 = self.resolve_measure(self.target, "target")
-            plan = mccann_plan(mu0, mu1)
+        mu0 = self.initial_output_measure(grid)
+        plan = circular_plan(mu0, target) if self.basis == FOURIER else mccann_plan(mu0, target)
         return plan, ot_moment_reference(plan, self.basis, self.q, time_grid)
 
 
@@ -292,6 +274,4 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario must be a JSON object")
     return Scenario.from_dict(raw)

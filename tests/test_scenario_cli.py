@@ -252,25 +252,25 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
     assert summary["threshold_failures"] == ["max_residual"]
 
 
-@pytest.mark.parametrize("name, key, value, message", [
-    pytest.param("labeled_exact.json", "dt", 0.003, "dt=0.003", id="labeled_exact.json"),
-    pytest.param("kuramoto_sync.json", "dt", 0.003, "dt=0.003", id="kuramoto_sync.json"),
-    *[pytest.param("kuramoto_sync.json", "solver.intervals", v, "solver.intervals",
+@pytest.mark.parametrize("command, name, key, value, message", [
+    pytest.param("track", "labeled_exact.json", "dt", 0.003, "dt=0.003", id="labeled_exact.json"),
+    pytest.param("track", "kuramoto_sync.json", "dt", 0.003, "dt=0.003", id="kuramoto_sync.json"),
+    *[pytest.param("track", "kuramoto_sync.json", "solver.intervals", v, "solver.intervals",
                    id=f"intervals={v}") for v in (0, -2, "ten", 2.5, True)],
-    *[pytest.param("kuramoto_sync.json", "solver.iterations", v, "solver.iterations",
+    *[pytest.param("track", "kuramoto_sync.json", "solver.iterations", v, "solver.iterations",
                    id=f"iterations={v}") for v in (-3, "many", 2.5, None)],
-    *[pytest.param("labeled_fixed_endpoint.json", key, v, key, id=f"{key}={v}")
+    *[pytest.param("track", "labeled_fixed_endpoint.json", key, v, key, id=f"{key}={v}")
       for key, v in (("q", "eight"), ("q", 2.5), ("horizon", "long"), ("horizon", -1.0),
                      ("dt", "fine"), ("seed", -1), ("samples", 0), ("reference_points", 1.5),
                      ("grid.members", "many"), ("grid.members", 1), ("grid.lo", None),
                      ("grid.hi", "one"), ("model.inputs", "four"),
                      ("solver.r_scale", -1), ("solver.r_scale", "big"))],
-    *[pytest.param("unlabeled_shooting.json", f"solver.{key}", v, f"solver.{key}",
+    *[pytest.param("track", "unlabeled_shooting.json", f"solver.{key}", v, f"solver.{key}",
                    id=f"{key}={v}")
       for key, v in (("energy_weight", "small"), ("energy_weight", -1e-3),
                      ("optimize_dt", "fine"), ("optimize_dt", 0.0),
                      ("optimize_members", "few"), ("optimize_members", 1))],
-    *[pytest.param(name, key, v, key, id=f"{key}={v}")
+    *[pytest.param("track", name, key, v, key, id=f"{key}={v}")
       for name, key, v in (("labeled_fixed_endpoint.json", "initial.mean", "abc"),
                            ("labeled_fixed_endpoint.json", "initial.sigma", float("inf")),
                            ("labeled_fixed_endpoint.json", "target.means", [0.25, "x"]),
@@ -278,22 +278,57 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
                            ("labeled_fixed_endpoint.json", "target.weights", "half"),
                            ("kuramoto_sync.json", "target.value", "pi"),
                            ("kuramoto_sync.json", "target.value", float("nan")))],
-    pytest.param("unlabeled_shooting.json", "initial", {"kind": "constant", "value": float("nan")},
-                 "initial.value", id="initial.value=nan"),
+    pytest.param("track", "unlabeled_shooting.json", "initial",
+                 {"kind": "constant", "value": float("nan")}, "initial.value",
+                 id="initial.value=nan"),
+    pytest.param("track", "labeled_fixed_endpoint.json", "horizon", 10**400, "horizon",
+                 id="horizon=10**400"),
+    # every field is checked at load, including those only a later stage reads
+    pytest.param("track", "labeled_exact.json", "thresholds.max_residual", "big",
+                 "thresholds.max_residual", id="max_residual=big"),
+    pytest.param("validate", "labeled_exact.json", "thresholds.w2", "x", "thresholds.w2",
+                 id="w2=x"),
+    pytest.param("track", "labeled_fixed_endpoint.json", "solver.verify", "no",
+                 "solver.verify must be true or false", id="verify=no"),
+    pytest.param("track", "unlabeled_shooting.json", "solver.initial_guess", "warm",
+                 "solver.initial_guess", id="initial_guess=warm"),
+    pytest.param("track", "labeled_exact.json", "grid", 5, "grid must be a JSON object",
+                 id="grid=5"),
+    # a section's keys depend on its method or kind
+    pytest.param("track", "labeled_exact.json", "solver.iterations", 5,
+                 "unknown key(s) ['iterations'] in solver with method 'exact'",
+                 id="exact.iterations=5"),
+    pytest.param("track", "labeled_exact.json", "model.coupling", 1.0,
+                 "unknown key(s) ['coupling'] in model with kind 'linear'",
+                 id="linear.coupling=1.0"),
+    pytest.param("track", "labeled_exact.json", "initial", {"kind": "uniform", "mean": 0.5},
+                 "unknown key(s) ['mean'] in initial with kind 'uniform'",
+                 id="uniform.mean=0.5"),
+    pytest.param("track", "kuramoto_sync.json", "target", {"kind": "point_mass"},
+                 "missing required field 'target.value'", id="point_mass.value=missing"),
+    *[pytest.param("track", "labeled_exact.json", "target.kind", kind, "target.kind must be one of",
+                   id=f"target.kind={kind}") for kind in ("blob", "constant")],
+    pytest.param("validate", "kuramoto_sync.json", "target", {"kind": "uniform"},
+                 "phase ensembles support point-mass targets only",
+                 id="fourier.target=uniform"),
 ])
-def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, name, key, value, message):
-    # also every numeric scenario field: a bad value exits 2 naming the
-    # field, before any work is done
+def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, command, name, key, value,
+                                                message):
+    # also every scenario field: a bad value exits 2 naming the field,
+    # before any work is done
     from pathlib import Path
 
     spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
     *path, field = key.split(".")
     section = spec
     for part in path:
-        section = section[part]
+        section = section.setdefault(part, {})
     section[field] = value
     out = tmp_path / "bad_dt"
-    code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
+    scenario = str(_write(tmp_path, spec))
+    if command == "validate":  # a trajectory for validate to read
+        main(["simulate", "--scenario", scenario, "--out", str(out)])
+    code = main([command, "--scenario", scenario, "--out", str(out)])
     assert code == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
 
@@ -364,6 +399,41 @@ def test_track_tpbvp_verify_grid_checked_before_solve(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert "configuration error: solver.verify" in err
     assert "25 variation segments" in err and "dt=0.0125" in err
+
+
+@pytest.mark.parametrize("name, over, message", [
+    pytest.param("labeled_exact.json", {"basis": "monomial_output"},
+                 "solver 'exact' tracks labeled density moments", id="exact-basis"),
+    pytest.param("labeled_fixed_endpoint.json", {"basis": "monomial_output"},
+                 "solver 'tpbvp' tracks labeled density moments", id="tpbvp-basis"),
+    pytest.param("labeled_exact.json", {"model": {"kind": "kuramoto", "coupling": 2.0}},
+                 "solver 'exact' needs the linear model", id="exact-kuramoto"),
+    pytest.param("kuramoto_sync.json",
+                 {"solver": {"method": "shooting", "initial_guess": "terminal_profile"}},
+                 "terminal_profile guesses apply to the linear model",
+                 id="terminal_profile-kuramoto"),
+    pytest.param("labeled_exact.json", {"thresholds": {"boundary_residual": 1e-8}},
+                 "thresholds.boundary_residual is reported only by the tpbvp solver",
+                 id="exact-boundary_residual"),
+    pytest.param("unlabeled_shooting.json", {"thresholds": {"final_order_parameter": 0.5}},
+                 "thresholds.final_order_parameter is reported only by Kuramoto runs",
+                 id="linear-final_order_parameter"),
+])
+def test_track_run_checks_precede_solve(tmp_path, capsys, monkeypatch, name, over, message):
+    # a scenario that loads but that its solver or model cannot run, or that
+    # sets a threshold the run does not report, exits 2 before any solve
+    import momentsteer.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the scenario was checked against the run")
+
+    for solver in ("exact_tracking_feedback", "lq_tracking_tpbvp", "direct_shooting"):
+        monkeypatch.setattr(cli, solver, no_solve)
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
+    spec.update(over)
+    out = tmp_path / "run_check"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
@@ -476,6 +546,25 @@ def test_shipped_scenarios_parse_and_plan(tmp_path):
     assert rows.shape[1] == 1 + 4 * 11  # t + (re, im) x 11 moments + rates
     np.testing.assert_allclose(rows[:, 1], 1.0, atol=1e-12)   # m0 real part
     assert np.abs(rows[:, 1 + 2 * 11]).max() == 0.0           # dm0 exactly zero
+
+
+def test_shipped_and_bench_scenarios_round_trip():
+    # the benchmark's generated scenarios must load under the scenario format
+    # as well as the shipped ones; each comes back equal through to_dict and
+    # JSON, defaults filled in
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    raws = [json.loads(f.read_text()) for f in sorted((root / "scenarios").glob("*.json"))]
+    raws += [scn for workload in workloads.WORKLOADS for seed in (0, 4) for tiny in (False, True)
+             for _, scn in workloads.scenarios(workload, seed, tiny)]
+    assert len(raws) == 4 + 4 * 2 * 2
+    for raw in raws:
+        scn = Scenario.from_dict(raw)
+        assert Scenario.from_dict(json.loads(json.dumps(scn.to_dict()))) == scn
 
 
 def test_validate_clipped_mass_independent_of_member_count(tmp_path):
