@@ -57,6 +57,6 @@ print(f"matching-system condition: {res.info['matching_condition']:.2e}"
       f"   (initial costate norm {np.linalg.norm(res.info['lambda_trace'][0]):.2e})")
 print(f"peak input amplitude: {np.abs(res.control.values).max():.1f}")
 print(f"ODE defect against the exact solution (scaled): "
-      f"{tpbvp_ode_residual(sys_, setup, ref, res):.1e}")
+      f"{tpbvp_ode_residual(sys_, ref, setup, res):.1e}")
 gap = tpbvp_optimality_gap(sys_, ref, setup, res)
 print(f"first-order optimality gap over random variations: {gap:.1e}")

@@ -31,7 +31,7 @@ plan = circular_plan(pushforward(grid, theta0), np.pi)
 ref = ot_moment_reference(plan, FOURIER, q, np.linspace(0.0, 1.0, intervals + 1))
 print(f"reference |m_1|: {np.abs(ref.m_star[0, 1]):.2e} -> {np.abs(ref.m_star[-1, 1]):.2f}")
 
-res = direct_shooting(model, grid, theta0, FOURIER, q, ref,
+res = direct_shooting(model, grid, theta0, ref,
                       n_intervals=intervals, iterations=50, dt=2e-3)
 hist = res.info["cost_history"]
 print(f"shooting cost: {hist[0]:.4f} -> {hist[-1]:.4f} over {len(hist) - 1} accepted steps")

@@ -98,7 +98,7 @@ def cmd_simulate(scn: Scenario, out: Path) -> int:
 
 def cmd_plan(scn: Scenario, out: Path) -> int:
     grid = scn.build_grid()
-    _, ref = scn.build_reference(grid)
+    ref = scn.build_reference(grid)
     header = ["t"] + _moment_header(scn.q, "m") + _moment_header(scn.q, "dm")
     rows = np.column_stack([ref.time_grid, _re_im(ref.m_star), _re_im(ref.dm_star)])
     _write_csv(out / "reference.csv", header, rows)
@@ -154,7 +154,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
                 raise ConfigError(f"solver.verify needs dt/2 to divide the {VARIATION_INTERVALS} "
                                   f"variation segments; dt={scn.dt:g} does not") from None
         tgrid = np.linspace(0.0, scn.horizon, n_steps + 1)
-        _, ref = scn.build_reference(grid, tgrid)
+        ref = scn.build_reference(grid, tgrid)
         sys_ = build_linear_moment_system(scn.q, model.n_inputs)
         if method == "exact":
             result = exact_tracking_feedback(sys_, ref, ref.m_star[0].real, scn.dt)
@@ -166,7 +166,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             )
             result = lq_tracking_tpbvp(sys_, ref, setup, scn.dt)
             if scn.solver["verify"]:
-                checks["ode_residual"] = tpbvp_ode_residual(sys_, setup, ref, result)
+                checks["ode_residual"] = tpbvp_ode_residual(sys_, ref, setup, result)
                 checks["optimality_gap"] = tpbvp_optimality_gap(sys_, ref, setup, result)
     else:
         intervals = scn.solver["intervals"]
@@ -177,7 +177,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         # for the mean-field model it is a quadrature refinement
         opt_grid = scn.build_grid(scn.solver["optimize_members"])
         opt_x0 = scn.initial_state(opt_grid)
-        _, ref = scn.build_reference(opt_grid, tgrid)
+        ref = scn.build_reference(opt_grid, tgrid)
         guess = None
         if scn.solver["initial_guess"] == "terminal_profile":
             if isinstance(model, Kuramoto):
@@ -190,8 +190,6 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             model,
             opt_grid,
             opt_x0,
-            scn.basis,
-            scn.q,
             ref,
             n_intervals=intervals,
             energy_weight=scn.solver["energy_weight"],

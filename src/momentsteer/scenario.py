@@ -28,7 +28,7 @@ from .measures import (
     truncated_gaussian_mixture,
 )
 from .moments import FOURIER, MONOMIAL_OUTPUT, MONOMIAL_PARAM
-from .transport import circular_plan, mccann_plan, ot_moment_reference
+from .transport import MomentReference, circular_plan, mccann_plan, ot_moment_reference
 
 __all__ = ["Scenario", "load_scenario"]
 
@@ -191,13 +191,18 @@ class Scenario:
         return make_uniform_grid(g["members"] if members is None else members, g["lo"], g["hi"])
 
     def resolve_measure(self, spec: dict, where: str):
+        """The measure of the section ``spec`` at the field path ``where``; a
+        ConfigError of the measure's own checks is prefixed with that path."""
         kind = spec["kind"]
         if kind == "uniform":
             return GridDensity((0.0, 1.0), np.ones(2001))
-        if kind == "truncated_gaussian":
-            return truncated_gaussian(spec["mean"], spec["sigma"])
-        if kind == "gaussian_mixture":
-            return truncated_gaussian_mixture(spec["means"], spec["sigmas"], spec["weights"])
+        try:
+            if kind == "truncated_gaussian":
+                return truncated_gaussian(spec["mean"], spec["sigma"])
+            if kind == "gaussian_mixture":
+                return truncated_gaussian_mixture(spec["means"], spec["sigmas"], spec["weights"])
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         if kind == "point_mass":
             return EmpiricalMeasure(np.array([spec["value"]]), np.array([1.0]))
         raise ConfigError(f"{where} kind '{kind}' is not valid for the {self.basis} basis")
@@ -250,8 +255,9 @@ class Scenario:
         support = (grid.nodes[0] - half, grid.nodes[-1] + half)
         return GridDensity.normalized(support, np.full(64, value))
 
-    def build_reference(self, grid: ParameterGrid, time_grid=None):
-        """Transport plan and moment reference from initial to target.
+    def build_reference(self, grid: ParameterGrid, time_grid=None) -> MomentReference:
+        """Moment reference from initial to target, with its transport plan
+        attached as ``ref.plan``.
 
         The unit transport stage is traversed over the scenario horizon.
         """
@@ -262,7 +268,7 @@ class Scenario:
             time_grid = np.linspace(0.0, self.horizon, self.reference_points)
         mu0 = self.initial_output_measure(grid)
         plan = circular_plan(mu0, target) if self.basis == FOURIER else mccann_plan(mu0, target)
-        return plan, ot_moment_reference(plan, self.basis, self.q, time_grid)
+        return ot_moment_reference(plan, self.basis, self.q, time_grid)
 
 
 def load_scenario(path) -> Scenario:
@@ -272,6 +278,6 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"cannot read scenario {path}: {exc.strerror}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     return Scenario.from_dict(raw)

@@ -27,7 +27,7 @@ from .ensembles import (
 )
 from .errors import ConfigError, SolverError, SolverWarning
 from .moment_systems import LinearMomentSystem, MomentTrace, _rk4_affine
-from .moments import (FOURIER, _member_moments_vjp, _metric_vjp, member_moments,
+from .moments import (MONOMIAL_PARAM, _member_moments_vjp, _metric_vjp, member_moments,
                       moment_metric_values)
 from .transport import MomentReference, _path_coefficients
 
@@ -83,6 +83,14 @@ class LQSetup:
             raise ValueError("R must be positive definite")
 
 
+def _check_labeled_reference(sys: LinearMomentSystem, ref: MomentReference) -> None:
+    """The moment system is written in labeled density moments of order q, so
+    an LQ reference must be too; otherwise raise :class:`ConfigError`."""
+    if ref.basis != MONOMIAL_PARAM or ref.order != sys.q:
+        raise ConfigError(f"the moment system needs a {MONOMIAL_PARAM} reference of order "
+                          f"{sys.q}; this one is {ref.basis} of order {ref.order}")
+
+
 def exact_tracking_feedback(
     sys: LinearMomentSystem, ref: MomentReference, m0, dt: float
 ) -> TrackingResult:
@@ -94,6 +102,7 @@ def exact_tracking_feedback(
     component of the required drive outside the range of H persists as a
     structural residual, which is reported rather than hidden.
     """
+    _check_labeled_reference(sys, ref)
     m = np.asarray(m0, dtype=float)
     if m.shape != (sys.q + 1,):
         raise ValueError(f"initial moments must have length {sys.q + 1}")
@@ -172,6 +181,7 @@ def lq_tracking_tpbvp(
     extended-precision endpoint residual and a float64 least-squares
     correction, and the best iterate is kept.
     """
+    _check_labeled_reference(sys, ref)
     if setup.R.shape[0] != sys.p:
         raise ValueError("R must be p x p")
     n = sys.q + 1
@@ -252,7 +262,7 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentReference,
+def tpbvp_ode_residual(sys: LinearMomentSystem, ref: MomentReference, setup: LQSetup,
                        result: TrackingResult) -> float:
     """Scale-normalized defect of the returned trajectory against the exact
     solution of the same state/costate ODE from its initial point.
@@ -264,14 +274,12 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, setup: LQSetup, ref: MomentRefer
     exponential of A_hat then carries w from instant to instant, in
     longdouble.  The costate components are orders of magnitude larger than
     the moment components, so the defect is reported relative to the
-    trajectory's sup norm.  A reference without a plan, or with a Fourier
-    basis, has no polynomial path and raises :class:`ConfigError`.
+    trajectory's sup norm.  A reference without a plan has no polynomial
+    path and raises :class:`ConfigError`.
     """
+    _check_labeled_reference(sys, ref)
     if ref.plan is None:
         raise ConfigError("the ODE defect needs a plan-backed reference; this one is a table")
-    if ref.basis == FOURIER:
-        raise ConfigError("the ODE defect needs polynomial reference moments; "
-                          "the Fourier basis has none")
     n = sys.q + 1
     ld = np.longdouble
     A_hat = np.zeros((3 * n, 3 * n), dtype=ld)
@@ -323,6 +331,7 @@ def tpbvp_optimality_gap(
     cost scale.  Verification runs at half the solver step to keep
     discretization bias below the threshold.
     """
+    _check_labeled_reference(sys, ref)
     n = sys.q + 1
     dt_v = float(result.times[1] - result.times[0]) / 2
     horizon = float(result.times[-1] - result.times[0])
@@ -392,8 +401,6 @@ def direct_shooting(
     model,
     grid: ParameterGrid,
     x0,
-    basis: str,
-    q: int,
     ref: MomentReference,
     n_intervals: int = 50,
     energy_weight: float = 1e-3,
@@ -405,12 +412,13 @@ def direct_shooting(
 
     The objective is the trapezoid quadrature of the moment-metric gap to the
     reference at the control-interval boundaries plus a quadratic energy
-    term; the moments are those of ``basis``, so any of the three bases can
-    be tracked.  Each evaluation returns the objective and its exact
-    gradient (:func:`_shooting_objective`).  :func:`momentsteer.lbfgs.minimize`
-    takes at most ``iterations`` steps: the iteration of L-BFGS-B without
-    bounds (Byrd, Lu, Nocedal & Zhu 1995, SIAM J. Sci. Comput. 16(5)), with
-    the Moré–Thuente line search (1994, ACM TOMS 20(3)).  No accepted step
+    term; the moments are those of the reference's basis and order, so any
+    of the three bases can be tracked.  Each evaluation returns the
+    objective and its exact gradient (:func:`_shooting_objective`).
+    :func:`momentsteer.lbfgs.minimize` takes at most ``iterations`` steps:
+    the iteration of L-BFGS-B without bounds (Byrd, Lu, Nocedal & Zhu 1995,
+    SIAM J. Sci. Comput. 16(5)), with the Moré–Thuente line search (1994,
+    ACM TOMS 20(3)).  No accepted step
     raises the cost, so the cost trace is monotone nonincreasing.  A trial
     control whose forward run overflows counts as cost ``inf``, and the line
     search steps back from it; a start that overflows raises
@@ -441,7 +449,7 @@ def direct_shooting(
 
     def objective(v):
         try:
-            J, g, mom = _shooting_objective(model, grid, x0, basis, q, m_ref,
+            J, g, mom = _shooting_objective(model, grid, x0, ref.basis, ref.order, m_ref,
                                             v.reshape(n_intervals, p), horizon, dt,
                                             energy_weight)
         except SolverError as exc:
@@ -478,29 +486,21 @@ def direct_shooting(
 def tracking_cost(
     trace: MomentTrace,
     ref: MomentReference,
-    metric: str = "d_M",
     control: ControlSignal | None = None,
-    R=None,
     energy_weight: float = 0.0,
 ) -> float:
-    """Trapezoid quadrature of the instantaneous tracking metric, plus an
-    optional quadratic control-energy term for piecewise-constant controls."""
+    """Trapezoid quadrature of the moment metric d_M between trace and
+    reference, plus an optional quadratic control-energy term for
+    piecewise-constant controls."""
     times = trace.times
     if times.size != ref.time_grid.size or np.max(np.abs(times - ref.time_grid)) > 1e-9:
         raise ValueError("trace and reference time grids must coincide")
-    if metric == "d_M":
-        inst = moment_metric_values(trace.values, ref.m_star)
-    elif metric == "euclidean":
-        inst = np.linalg.norm(trace.values - ref.m_star, axis=1) ** 2
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    total = float(np.trapezoid(inst, times))
+    if trace.basis != ref.basis:
+        raise ValueError(f"trace basis {trace.basis} differs from reference basis {ref.basis}")
+    total = float(np.trapezoid(moment_metric_values(trace.values, ref.m_star), times))
     if control is not None and energy_weight != 0.0:
-        Rm = np.eye(control.n_inputs) if R is None else np.asarray(R, dtype=float)
         seg = control.horizon / control.values.shape[0]
-        total += energy_weight * float(
-            np.einsum("ij,jk,ik->", control.values, Rm, control.values) * seg
-        )
+        total += energy_weight * float(np.sum(control.values**2) * seg)
     return total
 
 

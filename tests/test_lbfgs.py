@@ -43,7 +43,7 @@ def test_lbfgs_matches_scipy_on_rosenbrock():
 @pytest.mark.parametrize("kind", ["output", "param", "kuramoto"])
 def test_shooting_matches_scipy_lbfgsb(kind):
     model, g, x0, basis, q, ref = _shooting_case(kind)
-    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=10)
+    res = direct_shooting(model, g, x0, ref, n_intervals=4, iterations=10)
     costs, evaluations, stop = _scipy_shooting(model, g, x0, basis, q, ref, 10)
     info = res.info
     assert (info["iterations"], info["evaluations"], info["stop_reason"]) == \

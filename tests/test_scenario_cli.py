@@ -278,6 +278,12 @@ def test_track_exact_threshold_violation_exits_4(tmp_path):
                            ("labeled_fixed_endpoint.json", "target.weights", "half"),
                            ("kuramoto_sync.json", "target.value", "pi"),
                            ("kuramoto_sync.json", "target.value", float("nan")))],
+    # the measures' own checks name the section they were given
+    *[pytest.param("track", "labeled_fixed_endpoint.json", key, v, message, id=f"{key}={v}")
+      for key, v, message in (
+          ("initial.sigma", 0, "initial: sigma must be positive"),
+          ("target.weights", [0.5, 0.6], "target: mixture weights must be positive and sum to 1"),
+          ("target.sigmas", [0.1], "target: means, sigmas and weights must have equal length"))],
     pytest.param("track", "unlabeled_shooting.json", "initial",
                  {"kind": "constant", "value": float("nan")}, "initial.value",
                  id="initial.value=nan"),
@@ -567,6 +573,32 @@ def test_shipped_and_bench_scenarios_round_trip():
         assert Scenario.from_dict(json.loads(json.dumps(scn.to_dict()))) == scn
 
 
+def test_bench_tracer_sites_resolve():
+    # bench/tracing.py wraps its layers by name and reads positional
+    # arguments of two of them; a renamed site would read as an absent
+    # layer, a reordered signature as wrong counts
+    import importlib.util
+    import inspect
+
+    import momentsteer.cli  # noqa: F401  the tracer installs after this import
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tracing", root / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    found = {}
+    for _, site in tracing.LAYERS:  # the lookup of Tracer.install
+        module_name, attr = site.split(":")
+        owner = sys.modules[f"momentsteer.{module_name}"]
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert owner is not None, f"{site} does not resolve"
+        found[site] = owner
+    batch = inspect.signature(found["tracking:_simulate_segments_batch"]).parameters
+    assert list(batch)[:6] == ["model", "x0", "grid", "U", "horizon", "dt"]
+    assert list(inspect.signature(found["tracking:_rk4_affine"]).parameters)[4] == "dtype"
+
+
 def test_validate_clipped_mass_independent_of_member_count(tmp_path):
     # the same labeled profile, negative on half the interval, sampled on
     # 200 and 400 members: the clipped mass is an integral, 1/pi here
@@ -629,6 +661,19 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys, command):
     missing = tmp_path / "nope.json"
     assert main([command, "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
     assert f"configuration error: cannot read scenario {missing}" in capsys.readouterr().err
+
+
+def test_huge_integer_literal_exits_2(tmp_path, capsys):
+    # Python refuses to convert an integer literal of more than 4300 digits;
+    # json.dumps refuses to write one, so the file is written as text
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "scenarios" / "labeled_exact.json").read_text()
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"q": 8', '"q": ' + "9" * 5000, 1))
+    assert path.read_text() != text
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: scenario is not valid JSON" in err and "Traceback" not in err
 
 
 def test_cli_loads_no_scipy(tmp_path):

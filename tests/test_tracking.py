@@ -129,7 +129,7 @@ def test_tpbvp_small_case_boundaries_and_residual():
     assert np.linalg.norm(res.moments[0] - setup.m_start) == 0.0
     assert np.linalg.norm(res.moments[-1] - setup.m_end) <= 1e-8
     assert res.info["boundary_residual_end"] <= 1e-8
-    assert tpbvp_ode_residual(sys_, setup, ref, res) <= 1e-8
+    assert tpbvp_ode_residual(sys_, ref, setup, res) <= 1e-8
     u_full = -0.5 * (res.info["lambda_trace"] @ sys_.H) @ np.linalg.inv(setup.R)
     energy = np.einsum("ij,jk,ik->i", u_full, setup.R, u_full)
     assert res.cost == pytest.approx(
@@ -214,7 +214,7 @@ def tpbvp_case(request):
 
 def test_ode_residual_matches_dop853_oracle(tpbvp_case):
     sys_, ref, setup, res = tpbvp_case
-    exact = tpbvp_ode_residual(sys_, setup, ref, res)
+    exact = tpbvp_ode_residual(sys_, ref, setup, res)
     assert exact <= 1e-13
     assert abs(exact - _ode_residual_oracle(sys_, setup, ref, res)) <= 1e-13
 
@@ -225,7 +225,7 @@ def test_ode_residual_detects_perturbed_costate(tpbvp_case):
     lam[500:] *= 1 + 1e-6
     bent = TrackingResult(res.control, res.times, res.moments, res.residuals, res.cost,
                           info={**res.info, "lambda_trace": lam})
-    exact = tpbvp_ode_residual(sys_, setup, ref, bent)
+    exact = tpbvp_ode_residual(sys_, ref, setup, bent)
     oracle = _ode_residual_oracle(sys_, setup, ref, bent)
     assert exact > 1e-8 and oracle > 1e-8
     assert exact == pytest.approx(oracle, rel=1e-3)
@@ -257,11 +257,49 @@ def test_ode_residual_needs_polynomial_reference():
     setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
     res = lq_tracking_tpbvp(sys_, table, setup, dt)
     with pytest.raises(ConfigError, match="plan-backed"):
-        tpbvp_ode_residual(sys_, setup, table, res)
+        tpbvp_ode_residual(sys_, table, setup, res)
     phases = EmpiricalMeasure(np.array([0.3, 1.2, 2.0]), np.full(3, 1 / 3))
     fourier = ot_moment_reference(circular_plan(phases, 1.0), FOURIER, q, ref.time_grid)
-    with pytest.raises(ConfigError, match="Fourier"):
-        tpbvp_ode_residual(sys_, setup, fourier, res)
+    with pytest.raises(ConfigError, match="this one is fourier of order 3"):
+        tpbvp_ode_residual(sys_, fourier, setup, res)
+
+
+def _output_reference(q, n_steps):
+    """The plan of :func:`_case_one_reference` in the monomial_output basis."""
+    labeled = _case_one_reference(q, n_steps)
+    return ot_moment_reference(labeled.plan, MONOMIAL_OUTPUT, q, labeled.time_grid)
+
+
+_LQ_CALLS = {
+    "exact": lambda sys_, ref, setup, res: exact_tracking_feedback(sys_, ref, setup.m_start, 1e-3),
+    "tpbvp": lambda sys_, ref, setup, res: lq_tracking_tpbvp(sys_, ref, setup, 1e-3),
+    "ode_residual": tpbvp_ode_residual,
+    "optimality_gap": tpbvp_optimality_gap,
+}
+
+
+@pytest.mark.parametrize("call", _LQ_CALLS)
+def test_lq_functions_reject_output_reference(call):
+    # the moment system is written in labeled density moments; power moments
+    # of the output measure are another coordinate system, not a wrong value
+    q, p = 3, 2
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q, 1000)
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    res = lq_tracking_tpbvp(sys_, ref, setup, 1e-3)
+    with pytest.raises(ConfigError, match="needs a monomial_param reference of order 3; "
+                                          "this one is monomial_output of order 3"):
+        _LQ_CALLS[call](sys_, _output_reference(q, 1000), setup, res)
+
+
+@pytest.mark.parametrize("call", ["exact", "tpbvp"])
+def test_lq_solvers_reject_reference_of_another_order(call):
+    q, p = 3, 2
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q + 1, 1000)
+    setup = LQSetup(np.eye(p), np.zeros(q + 1), np.zeros(q + 1))
+    with pytest.raises(ConfigError, match="of order 3; this one is monomial_param of order 4"):
+        _LQ_CALLS[call](sys_, ref, setup, None)
 
 
 def test_tpbvp_first_order_optimality_small_case():
@@ -337,7 +375,7 @@ def test_tpbvp_optimality_gap_matches_central_difference_oracle(monkeypatch):
     # is patched in: the gap must see the doubled weight, and agree with
     # the oracle on a nominal whose gradient is far from zero
     doubled = LQSetup(2 * np.eye(p), setup.m_start, setup.m_end)
-    assert tpbvp_ode_residual(sys_, doubled, ref, res) > 1e-8
+    assert tpbvp_ode_residual(sys_, ref, doubled, res) > 1e-8
     solved = tracking._hamiltonian_matrix(sys_, setup.R)
     monkeypatch.setattr(tracking, "_hamiltonian_matrix", lambda sys, R: solved)
     gap = tpbvp_optimality_gap(sys_, ref, doubled, res)
@@ -379,7 +417,7 @@ def test_shooting_stays_at_zero_for_free_reference():
     table = moment_trajectory(free, MONOMIAL_OUTPUT, q).values[idx]
     tgrid = free.times[idx]
     ref = MomentReference(tgrid, table, np.zeros_like(table), MONOMIAL_OUTPUT)
-    res = direct_shooting(model, g, x0, MONOMIAL_OUTPUT, q, ref,
+    res = direct_shooting(model, g, x0, ref,
                           n_intervals=n_int, energy_weight=0.0, iterations=10)
     assert np.abs(res.control.values).max() == 0.0
     assert res.cost <= 1e-12
@@ -584,7 +622,7 @@ def test_shooting_stop_reasons():
     table = member_moments(states, g, MONOMIAL_OUTPUT, q)
     ref = MomentReference(np.linspace(0.0, 1.0, n_int + 1), table, np.zeros_like(table),
                           MONOMIAL_OUTPUT)
-    res = direct_shooting(LinearScalar(), g, x0, MONOMIAL_OUTPUT, q, ref,
+    res = direct_shooting(LinearScalar(), g, x0, ref,
                           n_intervals=n_int, energy_weight=0.0, iterations=5)
     assert res.info["stop_reason"] == "gradient_zero" and res.converged
     assert res.info["grad_norm_history"].tolist() == [0.0]
@@ -593,13 +631,13 @@ def test_shooting_stop_reasons():
 
     # a zero budget reports the start without a step
     model, g, x0, basis, q, ref = _shooting_case("kuramoto")
-    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=0)
+    res = direct_shooting(model, g, x0, ref, n_intervals=4, iterations=0)
     assert res.info["stop_reason"] == "budget" and res.info["evaluations"] == 1
     assert np.abs(res.control.values).max() == 0.0
     _check_history(res, 0)
 
     # iterations used up while descent still succeeds
-    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=2)
+    res = direct_shooting(model, g, x0, ref, n_intervals=4, iterations=2)
     assert res.info["stop_reason"] == "budget" and not res.converged
     _check_history(res, 2)
 
@@ -608,7 +646,7 @@ def test_shooting_stop_reasons():
     # SciPy's L-BFGS-B ends there too.  Which kink depends on rounding that
     # grows along the run: this run stopped after 49 iterations, L-BFGS-B
     # after 92 (NumPy 2.4, SciPy 1.17)
-    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=400)
+    res = direct_shooting(model, g, x0, ref, n_intervals=4, iterations=400)
     assert res.info["stop_reason"] == "line_search" and not res.converged
     _check_history(res, res.info["iterations"])
     assert 0 < res.info["iterations"] < 400
@@ -637,7 +675,7 @@ def test_shooting_survives_overflowing_trial(monkeypatch):
     table = np.tile(2.0 ** np.arange(q + 1), (n_int + 1, 1))
     ref = MomentReference(np.linspace(0.0, 1.0, n_int + 1), table, np.zeros_like(table),
                           MONOMIAL_OUTPUT)
-    res = direct_shooting(LinearScalar(1), g, np.zeros(8), MONOMIAL_OUTPUT, q, ref,
+    res = direct_shooting(LinearScalar(1), g, np.zeros(8), ref,
                           n_intervals=n_int, iterations=30)
     assert failures and all(np.all(np.isfinite(u)) for u in failures)
     assert res.info["stop_reason"] in ("line_search", "budget")
@@ -664,7 +702,7 @@ def test_shooting_continues_after_failed_trial(monkeypatch):
 
     monkeypatch.setattr(tracking, "_shooting_objective", bounded)
     model, g, x0, basis, q, ref = _shooting_case("output")
-    res = direct_shooting(model, g, x0, basis, q, ref, n_intervals=4, iterations=10)
+    res = direct_shooting(model, g, x0, ref, n_intervals=4, iterations=10)
     first_failure = costs.index(np.inf)
     assert first_failure == 1
     _check_history(res, 10)
@@ -687,7 +725,7 @@ def test_shooting_grad_norm_history_finite_for_huge_gradients():
                           MONOMIAL_OUTPUT)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = direct_shooting(LinearScalar(1), g, np.full(8, 0.5), MONOMIAL_OUTPUT, q, ref,
+        res = direct_shooting(LinearScalar(1), g, np.full(8, 0.5), ref,
                               n_intervals=n_int, iterations=10)
     norms = res.info["grad_norm_history"]
     assert np.all(np.isfinite(norms)) and norms[0] > 1e154
@@ -702,7 +740,7 @@ def test_shooting_descends_kuramoto_smoke():
     ref = ot_moment_reference(circular_plan(pushforward(g, th0), np.pi), FOURIER, q,
                               np.linspace(0, 1, n_int + 1))
     model = Kuramoto(coupling=2.0)
-    res = direct_shooting(model, g, th0, FOURIER, q, ref,
+    res = direct_shooting(model, g, th0, ref,
                           n_intervals=n_int, iterations=40)
     hist = res.info["cost_history"]
     assert np.all(np.diff(hist) <= 0)
@@ -725,18 +763,19 @@ def test_shooting_tracks_labeled_moments():
     dens = truncated_gaussian(0.5, 1 / np.sqrt(50))
     x0 = np.interp(g.nodes, dens.xs, dens.values)
     ref = _case_one_reference(q, n_int)
-    res = direct_shooting(LinearScalar(2), g, x0, MONOMIAL_PARAM, q, ref,
+    res = direct_shooting(LinearScalar(2), g, x0, ref,
                           n_intervals=n_int, iterations=2)
     labeled = moment_trajectory(Trajectory(np.zeros(1), x0[None, :], g), MONOMIAL_PARAM, q)
     np.testing.assert_allclose(res.moments[0], labeled.values[0], rtol=0, atol=1e-12)
 
 
 def test_shooting_rejects_non_finite_start():
+    # the squares of the members' outputs overflow at the start
     g = make_uniform_grid(8, 0.0, 1.0)
-    ref = _case_one_reference(2, 4)
+    table = np.tile([1.0, 0.5, 1 / 3], (5, 1))
+    ref = MomentReference(np.linspace(0.0, 1.0, 5), table, np.zeros_like(table), MONOMIAL_OUTPUT)
     with pytest.raises(SolverError):
-        direct_shooting(LinearScalar(1), g, np.full(8, 1e300), MONOMIAL_OUTPUT, 2, ref,
-                        n_intervals=4, iterations=2)
+        direct_shooting(LinearScalar(1), g, np.full(8, 1e300), ref, n_intervals=4, iterations=2)
 
 
 # ------------------------------------------------------------ tracking cost
@@ -762,6 +801,17 @@ def test_tracking_cost_grid_mismatch():
     ref = MomentReference(tgrid, table, np.zeros_like(table), MONOMIAL_PARAM)
     trace = MomentTrace(np.linspace(0, 1, 21), np.tile(table[0], (21, 1)), MONOMIAL_PARAM)
     with pytest.raises(ValueError):
+        tracking_cost(trace, ref)
+
+
+@pytest.mark.parametrize("trace_basis, ref_basis", [(MONOMIAL_OUTPUT, MONOMIAL_PARAM),
+                                                     (MONOMIAL_PARAM, MONOMIAL_OUTPUT)])
+def test_tracking_cost_basis_mismatch(trace_basis, ref_basis):
+    tgrid = np.linspace(0, 1, 11)
+    table = np.tile(np.array([1.0, 0.5, 0.33]), (11, 1))
+    ref = MomentReference(tgrid, table, np.zeros_like(table), ref_basis)
+    trace = MomentTrace(tgrid, table.copy(), trace_basis)
+    with pytest.raises(ValueError, match=f"trace basis {trace_basis} differs"):
         tracking_cost(trace, ref)
 
 

@@ -55,6 +55,23 @@ def test_plan_monotone_along_sorted_sources():
     assert np.all(np.diff(plan.targets[order]) >= -1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_plan_pairing_cost_matches_assignment_oracle(p):
+    # on the line the monotone pairing is optimal for every convex cost
+    # |x - y|^p, so its cost equals the assignment optimum
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n = int(rng.integers(2, 30))
+        x, y = rng.uniform(-2, 2, n), rng.standard_normal(n)
+        plan = mccann_plan(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(y))
+        pairing = plan.weights @ np.abs(plan.targets - plan.points) ** p
+        cost = np.abs(x[:, None] - y[None, :]) ** p
+        rows, cols = linear_sum_assignment(cost)
+        assert pairing == pytest.approx(cost[rows, cols].mean(), rel=1e-12, abs=1e-14)
+
+
 # -------------------------------------------------------------- interpolation
 
 def test_interpolate_endpoints():
