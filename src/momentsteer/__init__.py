@@ -10,7 +10,6 @@ moment system.
 from .errors import ConfigError, SolverError, SolverWarning
 from .ensembles import (
     ControlSignal,
-    EnsembleState,
     Kuramoto,
     LinearScalar,
     ParameterGrid,

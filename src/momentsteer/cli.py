@@ -22,16 +22,13 @@ from .measures import (
     CDFTable,
     EmpiricalMeasure,
     _cumulative_trapezoid,
-    cdf,
     pushforward,
-    quantile,
     sample_empirical,
     wasserstein,
     wasserstein_to_point_circular,
 )
 from .moments import (
     FOURIER,
-    MONOMIAL_OUTPUT,
     MONOMIAL_PARAM,
     member_moments,
     moment_metric_values,
@@ -42,8 +39,8 @@ from .moments import (
 from .moment_systems import build_linear_moment_system
 from .scenario import Scenario, load_scenario
 from .tracking import (
-    VARIATION_INTERVALS,
     LQSetup,
+    _gap_grid,
     direct_shooting,
     exact_tracking_feedback,
     lq_tracking_tpbvp,
@@ -149,10 +146,9 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         n_steps = _steps_per_interval(scn.horizon, scn.dt)
         if method == "tpbvp" and scn.solver["verify"]:
             try:  # the optimality gap's grid, checked before the solve
-                _steps_per_interval(scn.horizon / VARIATION_INTERVALS, scn.dt / 2)
-            except ConfigError:
-                raise ConfigError(f"solver.verify needs dt/2 to divide the {VARIATION_INTERVALS} "
-                                  f"variation segments; dt={scn.dt:g} does not") from None
+                _gap_grid(scn.horizon, scn.dt)
+            except ConfigError as exc:
+                raise ConfigError(f"solver.verify: {exc}") from None
         tgrid = np.linspace(0.0, scn.horizon, n_steps + 1)
         ref = scn.build_reference(grid, tgrid)
         sys_ = build_linear_moment_system(scn.q, model.n_inputs)
@@ -182,8 +178,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         if scn.solver["initial_guess"] == "terminal_profile":
             if isinstance(model, Kuramoto):
                 raise ConfigError("terminal_profile guesses apply to the linear model")
-            target_profile = np.asarray(
-                quantile(cdf(scn.resolve_target()), scn.member_levels(opt_grid)), dtype=float)
+            target_profile = scn.member_values(scn.resolve_target(), opt_grid, "target")
             guess = terminal_profile_guess(
                 model, opt_grid, opt_x0, target_profile, scn.horizon, intervals)
         result = direct_shooting(
@@ -255,10 +250,16 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     return 0
 
 
-def _target_power_moments(target, q: int) -> np.ndarray:
+def _target_moments(basis: str, target, q: int) -> np.ndarray:
+    """Moments m_0..m_q of the scenario target in ``basis``: a phase
+    ensemble's angle as a point mass on the circle, atoms by their power
+    sums, a density by quadrature (over the parameter for labeled runs, over
+    the output otherwise: the same integral)."""
+    if basis == FOURIER:
+        return moments_fourier(EmpiricalMeasure([target % (2 * np.pi)], [1.0]), q).values
     if isinstance(target, EmpiricalMeasure):
         return moments_output(target, q).values
-    return moments_density(target, q).values  # identity output: same integral
+    return moments_density(target, q).values
 
 
 def _final_states_from_csv(path: Path) -> np.ndarray:
@@ -293,24 +294,12 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
     target = scn.resolve_target()
     rng = np.random.default_rng(scn.seed if seed is None else seed)
     payload: dict = {"basis": scn.basis}
+    x = np.mod(final, 2 * np.pi) if scn.basis == FOURIER else final  # phases on the circle
+    m_final = member_moments(x, grid, scn.basis, scn.q)
+    if not np.all(np.isfinite(m_final)):
+        raise SolverError(f"order-{scn.q} moments of the final states in {path} overflow")
 
-    if scn.basis == FOURIER:
-        mu_final = pushforward(grid, np.mod(final, 2 * np.pi))
-        sampled = sample_empirical(mu_final, scn.samples, rng)
-        payload["w2"] = wasserstein_to_point_circular(sampled, target)
-        m_final = moments_fourier(mu_final, scn.q).values
-        point = EmpiricalMeasure(np.array([target % (2 * np.pi)]), np.ones(1))
-        payload["d_m"] = moment_metric_values(m_final, moments_fourier(point, scn.q).values)
-        r_final, _ = mean_field(final, grid)
-        payload["final_order_parameter"] = float(r_final)
-    elif scn.basis == MONOMIAL_OUTPUT:
-        m_final = member_moments(final, grid, MONOMIAL_OUTPUT, scn.q)
-        if not np.all(np.isfinite(m_final)):
-            raise SolverError(f"order-{scn.q} moments of the final states in {path} overflow")
-        sampled = sample_empirical(pushforward(grid, final), scn.samples, rng)
-        payload["w2"] = wasserstein(sampled, target)
-        payload["d_m"] = moment_metric_values(m_final, _target_power_moments(target, scn.q))
-    else:
+    if scn.basis == MONOMIAL_PARAM:
         clipped = np.clip(final, 0.0, None)
         # on the scale of m_0 = sum_j w_j x_j, independent of the member count
         payload["clipped_negative_mass"] = float((clipped - final) @ grid.weights)
@@ -318,10 +307,14 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         total = inc[-1]
         if total <= 0:
             raise SolverError("final labeled profile has no mass")
-        F_final = CDFTable(grid.nodes, np.minimum(inc / total, 1.0))
-        payload["w2"] = wasserstein(F_final, target)
-        m_final = member_moments(final, grid, MONOMIAL_PARAM, scn.q)
-        payload["d_m"] = moment_metric_values(m_final, moments_density(target, scn.q).values)
+        payload["w2"] = wasserstein(CDFTable(grid.nodes, np.minimum(inc / total, 1.0)), target)
+    else:
+        sampled = sample_empirical(pushforward(grid, x), scn.samples, rng)
+        payload["w2"] = (wasserstein_to_point_circular(sampled, target) if scn.basis == FOURIER
+                         else wasserstein(sampled, target))
+    payload["d_m"] = moment_metric_values(m_final, _target_moments(scn.basis, target, scn.q))
+    if scn.basis == FOURIER:
+        payload["final_order_parameter"] = float(mean_field(final, grid)[0])
 
     threshold = scn.thresholds["w2"]
     payload["threshold_w2"] = threshold
@@ -342,8 +335,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="sampling seed override")
         if name == "validate":
+            sp.add_argument("--seed", type=int, default=None, help="sampling seed override")
             sp.add_argument("--results", default=None,
                             help="directory holding trajectory.csv (default: --out)")
     args = parser.parse_args(argv)

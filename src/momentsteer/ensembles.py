@@ -25,7 +25,6 @@ __all__ = [
     "ControlSignal",
     "LinearScalar",
     "Kuramoto",
-    "EnsembleState",
     "Trajectory",
     "make_uniform_grid",
     "rhs",
@@ -134,17 +133,6 @@ class Kuramoto:
 
 
 @dataclass
-class EnsembleState:
-    """Member values at one instant; angles for Kuramoto, reals for LinearScalar."""
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-
-
-@dataclass
 class Trajectory:
     """States sampled on a uniform time grid, one row per instant."""
 
@@ -164,9 +152,10 @@ def make_uniform_grid(n: int, lo: float, hi: float) -> ParameterGrid:
     return ParameterGrid(nodes, np.full(n, 1.0 / n))
 
 
-def mean_field(state, grid: ParameterGrid):
-    """Weighted circular mean: returns (r, psi) with r e^{i psi} = sum_j w_j e^{i theta_j}."""
-    x = state.x if isinstance(state, EnsembleState) else np.asarray(state, dtype=float)
+def mean_field(x, grid: ParameterGrid):
+    """Weighted circular mean of phases ``x``: returns (r, psi) with
+    r e^{i psi} = sum_j w_j e^{i x_j}."""
+    x = np.asarray(x, dtype=float)
     zr, zi = float(np.cos(x) @ grid.weights), float(np.sin(x) @ grid.weights)
     return min(math.hypot(zr, zi), 1.0), math.atan2(zi, zr)
 
@@ -266,14 +255,15 @@ def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
     return dbar
 
 
-def rhs(model, state: EnsembleState, grid: ParameterGrid, u) -> np.ndarray:
-    """Member derivatives under control vector ``u``."""
+def rhs(model, x, grid: ParameterGrid, u) -> np.ndarray:
+    """Derivatives of the member values ``x`` under control vector ``u``."""
+    x = np.asarray(x, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if state.x.shape != grid.nodes.shape:
+    if x.shape != grid.nodes.shape:
         raise ValueError("state length must equal grid size")
     if u.size != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} control values, got {u.size}")
-    return _field(model, grid)(state.x, _drive(model, grid)(u))
+    return _field(model, grid)(x, _drive(model, grid)(u))
 
 
 def _steps_per_interval(interval: float, dt: float) -> int:
@@ -293,7 +283,7 @@ def simulate(model, x0, grid: ParameterGrid, control: ControlSignal, dt: float) 
     the interval length.  Kuramoto phases are wrapped to [0, 2*pi) after every
     step.  The run is deterministic: identical inputs give identical output.
     """
-    x = x0.x if isinstance(x0, EnsembleState) else np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     if x.shape != grid.nodes.shape:
         raise ValueError("initial state length must equal grid size")
     if not np.all(np.isfinite(x)):

@@ -192,7 +192,9 @@ class Scenario:
 
     def resolve_measure(self, spec: dict, where: str):
         """The measure of the section ``spec`` at the field path ``where``; a
-        ConfigError of the measure's own checks is prefixed with that path."""
+        ConfigError of the measure's own checks is prefixed with that path.
+        A labeled ``constant`` initial is the constant density on the grid's
+        interval, so it must have unit mass."""
         kind = spec["kind"]
         if kind == "uniform":
             return GridDensity((0.0, 1.0), np.ones(2001))
@@ -201,9 +203,11 @@ class Scenario:
                 return truncated_gaussian(spec["mean"], spec["sigma"])
             if kind == "gaussian_mixture":
                 return truncated_gaussian_mixture(spec["means"], spec["sigmas"], spec["weights"])
+            if kind == "constant" and self.basis == MONOMIAL_PARAM:
+                return GridDensity((self.grid["lo"], self.grid["hi"]), np.full(64, spec["value"]))
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        if kind == "point_mass":
+        if kind in ("point_mass", "constant"):  # every member at one value
             return EmpiricalMeasure(np.array([spec["value"]]), np.array([1.0]))
         raise ConfigError(f"{where} kind '{kind}' is not valid for the {self.basis} basis")
 
@@ -220,40 +224,28 @@ class Scenario:
     def member_levels(self, grid: ParameterGrid) -> np.ndarray:
         return np.cumsum(grid.weights) - grid.weights / 2
 
+    def member_values(self, measure, grid: ParameterGrid, where: str) -> np.ndarray:
+        """Member values that realize ``measure``, the section at ``where``,
+        in the scenario's basis: density samples at the nodes for labeled
+        runs, else quantiles at the members' midpoint levels."""
+        if self.basis != MONOMIAL_PARAM:
+            return np.asarray(quantile(cdf(measure), self.member_levels(grid)), dtype=float)
+        if not isinstance(measure, GridDensity):
+            raise ConfigError(f"{where}: labeled runs need a density, not point masses")
+        return np.interp(grid.nodes, measure.xs, measure.values)
+
     def initial_state(self, grid: ParameterGrid) -> np.ndarray:
         """Member values realizing the initial spec for the chosen basis."""
         kind = self.initial["kind"]
-        if self.basis == MONOMIAL_PARAM:
-            if kind == "constant":
-                return np.full(grid.size, self.initial["value"])
-            dens = self.resolve_measure(self.initial, "initial")
-            if not isinstance(dens, GridDensity):
-                raise ConfigError("labeled runs need a density-valued initial condition")
-            return np.interp(grid.nodes, dens.xs, dens.values)
-        if self.basis == MONOMIAL_OUTPUT:
-            if kind == "constant":
-                return np.full(grid.size, self.initial["value"])
-            mu0 = self.resolve_measure(self.initial, "initial")
-            return np.asarray(quantile(cdf(mu0), self.member_levels(grid)), dtype=float)
-        # fourier: phases on the circle
-        if kind == "uniform_circle":
-            return 2 * np.pi * self.member_levels(grid)
-        if kind == "point_mass":
-            return np.full(grid.size, self.initial["value"] % (2 * np.pi))
-        raise ConfigError(f"initial kind '{kind}' is not valid for phase ensembles")
-
-    def initial_output_measure(self, grid: ParameterGrid):
-        """The initial condition as a measure, for transport planning."""
-        if self.basis == FOURIER:
-            return EmpiricalMeasure(self.initial_state(grid), grid.weights.copy())
-        if self.initial["kind"] != "constant":
-            return self.resolve_measure(self.initial, "initial")
-        value = self.initial["value"]
-        if self.basis == MONOMIAL_OUTPUT:
-            return EmpiricalMeasure(np.array([value]), np.array([1.0]))
-        half = (grid.nodes[1] - grid.nodes[0]) / 2  # midpoint-rule margin
-        support = (grid.nodes[0] - half, grid.nodes[-1] + half)
-        return GridDensity.normalized(support, np.full(64, value))
+        if self.basis == FOURIER:  # phases on the circle
+            if kind == "uniform_circle":
+                return 2 * np.pi * self.member_levels(grid)
+            if kind == "point_mass":
+                return np.full(grid.size, self.initial["value"] % (2 * np.pi))
+            raise ConfigError(f"initial kind '{kind}' is not valid for phase ensembles")
+        if kind == "constant":  # any value: only a reference needs a unit-mass density
+            return np.full(grid.size, self.initial["value"])
+        return self.member_values(self.resolve_measure(self.initial, "initial"), grid, "initial")
 
     def build_reference(self, grid: ParameterGrid, time_grid=None) -> MomentReference:
         """Moment reference from initial to target, with its transport plan
@@ -266,8 +258,10 @@ class Scenario:
             raise ConfigError("reference construction needs a positive horizon")
         if time_grid is None:
             time_grid = np.linspace(0.0, self.horizon, self.reference_points)
-        mu0 = self.initial_output_measure(grid)
-        plan = circular_plan(mu0, target) if self.basis == FOURIER else mccann_plan(mu0, target)
+        if self.basis == FOURIER:  # the initial phases as atoms on the circle
+            plan = circular_plan(EmpiricalMeasure(self.initial_state(grid), grid.weights), target)
+        else:
+            plan = mccann_plan(self.resolve_measure(self.initial, "initial"), target)
         return ot_moment_reference(plan, self.basis, self.q, time_grid)
 
 

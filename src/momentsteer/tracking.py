@@ -311,6 +311,16 @@ GAP_SEED = 0
 GUESS_RIDGE = 1e-4
 
 
+def _gap_grid(horizon: float, dt: float) -> tuple:
+    """The optimality gap's grid for a solve at step ``dt``: the step dt/2
+    and its number of steps per variation segment."""
+    try:
+        return dt / 2, _steps_per_interval(horizon / VARIATION_INTERVALS, dt / 2)
+    except ConfigError:
+        raise ConfigError(f"the optimality gap needs dt/2 to divide its {VARIATION_INTERVALS} "
+                          f"variation segments; dt={dt:g} does not") from None
+
+
 def tpbvp_optimality_gap(
     sys: LinearMomentSystem,
     ref: MomentReference,
@@ -333,10 +343,9 @@ def tpbvp_optimality_gap(
     """
     _check_labeled_reference(sys, ref)
     n = sys.q + 1
-    dt_v = float(result.times[1] - result.times[0]) / 2
     horizon = float(result.times[-1] - result.times[0])
-    n_steps = _steps_per_interval(horizon, dt_v)
-    per = _steps_per_interval(horizon / VARIATION_INTERVALS, dt_v)
+    dt_v, per = _gap_grid(horizon, float(result.times[1] - result.times[0]))
+    n_steps = VARIATION_INTERVALS * per
     starts = per * np.arange(VARIATION_INTERVALS)
 
     # nominal control on the quarter grid of the solver (= half grid of dt_v)

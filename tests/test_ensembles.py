@@ -4,7 +4,6 @@ import pytest
 from momentsteer import (
     ConfigError,
     ControlSignal,
-    EnsembleState,
     Kuramoto,
     LinearScalar,
     ParameterGrid,
@@ -53,29 +52,29 @@ def test_linear_rhs_matches_hand_substitution():
     # beta = 0.5, x = 1, u = (1, 1): 0.5*1 + 1 + 0.5 = 2.0
     g = ParameterGrid(np.array([0.5]), np.array([1.0]))
     model = LinearScalar(2)
-    dx = rhs(model, EnsembleState(0.0, np.array([1.0])), g, np.array([1.0, 1.0]))
+    dx = rhs(model, np.array([1.0]), g, np.array([1.0, 1.0]))
     np.testing.assert_allclose(dx, [2.0])
 
 
 def test_linear_rhs_uncontrolled_growth_rate():
     g = make_uniform_grid(8, 0.0, 1.0)
     a = 2.5
-    dx = rhs(LinearScalar(1), EnsembleState(0.0, np.full(8, a)), g, np.zeros(1))
+    dx = rhs(LinearScalar(1), np.full(8, a), g, np.zeros(1))
     np.testing.assert_allclose(dx, g.nodes * a)
 
 
 def test_rhs_dimension_mismatch():
     g = make_uniform_grid(4, 0.0, 1.0)
     with pytest.raises(ValueError):
-        rhs(LinearScalar(2), EnsembleState(0.0, np.zeros(4)), g, np.zeros(3))
+        rhs(LinearScalar(2), np.zeros(4), g, np.zeros(3))
     with pytest.raises(ValueError):
-        rhs(LinearScalar(1), EnsembleState(0.0, np.zeros(3)), g, np.zeros(1))
+        rhs(LinearScalar(1), np.zeros(3), g, np.zeros(1))
 
 
 def test_kuramoto_rhs_coupling_vanishes_when_synchronized():
     g = make_uniform_grid(6, -1.0, 1.0)
     th = np.full(6, 1.3)
-    dth = rhs(Kuramoto(coupling=5.0), EnsembleState(0.0, th), g, np.zeros(1))
+    dth = rhs(Kuramoto(coupling=5.0), th, g, np.zeros(1))
     np.testing.assert_allclose(dth, g.nodes, atol=1e-12)
 
 

@@ -243,13 +243,26 @@ def test_replay_summary_is_full_resolution(tmp_path, kind):
         assert np.max(np.abs(rows[:, 1:])) < summary["replay_max_abs_state"]
 
 
-def test_track_exact_threshold_violation_exits_4(tmp_path):
-    spec = _case_one_track_scenario(p=5, q=4, thresholds={"max_residual": 1e-13})
-    out = tmp_path / "exact_fail"
+@pytest.mark.parametrize("name", ["max_residual", "boundary_residual", "final_order_parameter",
+                                  "cost"])
+def test_track_exact_threshold_violation_exits_4(tmp_path, name):
+    # each threshold that a run reports, set out of its reach: exit 4, and
+    # summary.json names the one that failed
+    spec = {
+        "max_residual": lambda: _case_one_track_scenario(p=5, q=4),
+        "boundary_residual": lambda: _case_one_track_scenario(
+            p=4, q=8, solver={"method": "tpbvp"}),
+        "final_order_parameter": lambda: _kuramoto_scenario(
+            grid={"members": 8, "lo": -1.0, "hi": 1.0},
+            solver={"method": "shooting", "intervals": 2, "iterations": 1}),
+        "cost": _small_shooting_scenario,
+    }[name]()
+    spec["thresholds"] = {name: 1.0 if name == "final_order_parameter" else 1e-300}
+    out = tmp_path / "threshold_fail"
     code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
     assert code == 4
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["threshold_failures"] == ["max_residual"]
+    assert summary["threshold_failures"] == [name]
 
 
 @pytest.mark.parametrize("command, name, key, value, message", [
@@ -418,6 +431,9 @@ def test_track_tpbvp_verify_grid_checked_before_solve(tmp_path, capsys, monkeypa
                  {"solver": {"method": "shooting", "initial_guess": "terminal_profile"}},
                  "terminal_profile guesses apply to the linear model",
                  id="terminal_profile-kuramoto"),
+    pytest.param("unlabeled_shooting.json",
+                 {"basis": "monomial_param", "target": {"kind": "point_mass", "value": 0.5}},
+                 "target: labeled runs need a density", id="terminal_profile-labeled-point"),
     pytest.param("labeled_exact.json", {"thresholds": {"boundary_residual": 1e-8}},
                  "thresholds.boundary_residual is reported only by the tpbvp solver",
                  id="exact-boundary_residual"),
@@ -440,6 +456,57 @@ def test_track_run_checks_precede_solve(tmp_path, capsys, monkeypatch, name, ove
     out = tmp_path / "run_check"
     assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_track_labeled_terminal_profile_fits_density_samples(tmp_path):
+    # the shipped unlabeled shooting run on labeled density moments, at 300
+    # members and with no optimizer step, reports its start: the guess fits
+    # the target's density samples, its member values in that basis (fitting
+    # its quantiles missed the guess's own endpoint by d_M 0.61)
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "unlabeled_shooting.json").read_text())
+    spec["basis"] = "monomial_param"
+    spec["grid"]["members"] = 300
+    spec["solver"]["iterations"] = 0
+    spec["thresholds"] = {}
+    out = tmp_path / "guess"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 0.0
+    assert summary["final_residual"] <= 1e-2
+
+
+@pytest.mark.parametrize("command", ["plan", "track"])
+def test_labeled_constant_initial_needs_unit_mass(tmp_path, capsys, command):
+    # a labeled constant initial is the constant density on [lo, hi]; the
+    # reference transports a unit mass, so value * (hi - lo) must be 1
+    spec = _case_one_track_scenario(p=5, q=4, initial={"kind": "constant", "value": 2.0})
+    path = _write(tmp_path, spec)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "two")]) == 2
+    assert "configuration error: initial: density must integrate to 1" in capsys.readouterr().err
+    # simulate builds no reference and takes any constant
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "sim")]) == 0
+
+
+def test_labeled_unit_constant_initial_moments_match_members(tmp_path):
+    from momentsteer import make_uniform_grid, member_moments
+
+    spec = _case_one_track_scenario(p=5, q=4, initial={"kind": "constant", "value": 1.0})
+    out = tmp_path / "one"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 0
+    m0 = np.loadtxt(out / "moments.csv", delimiter=",", skiprows=1, max_rows=1)[1]
+    start = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, max_rows=1)[1:]
+    members_m0 = member_moments(start, make_uniform_grid(64, 0.0, 1.0), "monomial_param", 4)[0]
+    np.testing.assert_array_equal(start, 1.0)
+    assert abs(m0 - members_m0) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan", "track"])
+def test_seed_is_a_validate_option_only(tmp_path, command):
+    path = _write(tmp_path, _linear_sim_scenario())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(path), "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
@@ -504,6 +571,16 @@ def test_track_kuramoto_smoke_then_validate(tmp_path):
     assert 0.0 <= payload["w2"] <= np.pi
     assert payload["final_order_parameter"] == pytest.approx(
         summary["final_order_parameter"], abs=1e-12)
+    # d_M from member_moments on the wrapped phases: the same bits as the
+    # trigonometric moments of their pushforward against the target's
+    from momentsteer import (EmpiricalMeasure, make_uniform_grid, moment_metric_values,
+                             moments_fourier, pushforward)
+
+    final = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[-1, 1:]
+    mu = pushforward(make_uniform_grid(48, -1.0, 1.0), np.mod(final, 2 * np.pi))
+    point = EmpiricalMeasure(np.array([np.pi]), np.ones(1))
+    assert payload["d_m"] == moment_metric_values(moments_fourier(mu, 6).values,
+                                                  moments_fourier(point, 6).values)
 
 
 def test_validate_exact_final_equals_target(tmp_path):
@@ -519,6 +596,26 @@ def test_validate_exact_final_equals_target(tmp_path):
     assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "validation.json").read_text())
     assert payload["w2"] == 0.0 and payload["passed"]
+
+
+def test_validate_labeled_point_mass_target(tmp_path):
+    # every basis takes d_M the same way: the final members' moments against
+    # the target's, here the power moments c^k of a point mass at c (as
+    # running products, the way the moment sums build powers)
+    from momentsteer import make_uniform_grid, member_moments, moment_metric_values
+
+    c = 0.3
+    spec = _case_one_track_scenario(p=1, q=4, target={"kind": "point_mass", "value": c})
+    path = _write(tmp_path, spec)
+    out = tmp_path / "labeled_point"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "validation.json").read_text())
+    final = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[-1, 1:]
+    m_final = member_moments(final, make_uniform_grid(64, 0.0, 1.0), "monomial_param", 4)
+    assert payload["d_m"] == moment_metric_values(m_final, np.cumprod([1.0, c, c, c, c]))
+    assert list(payload) == ["basis", "clipped_negative_mass", "w2", "d_m", "threshold_w2",
+                             "passed"]
 
 
 def test_validate_untracked_run_fails_threshold(tmp_path):
@@ -631,19 +728,25 @@ def test_validate_seeded_sampling_reproducible(tmp_path):
     assert (out / "validation.json").read_bytes() == first
 
 
-@pytest.mark.parametrize("case", ["cell_abc", "cell_nan", "no_trajectory", "moment_overflow"])
+@pytest.mark.parametrize("case", ["cell_abc", "cell_nan", "no_trajectory", "moment_overflow",
+                                  "member_count", "no_mass"])
 def test_validate_input_faults_exit_with_documented_code(tmp_path, capsys, case):
     # faults in validate's inputs exit 2 (configuration) or 3 (moment
-    # overflow) with a message naming the file or cause, never a traceback;
-    # a missing scenario file is covered for every subcommand below
+    # overflow, a labeled profile without mass) with a message naming the
+    # file or cause, never a traceback; a missing scenario file is covered
+    # for every subcommand below
     spec = _linear_sim_scenario(q=8, grid={"members": 4, "lo": 0.0, "hi": 1.0})
+    if case == "no_mass":
+        spec["basis"] = "monomial_param"
     path = _write(tmp_path, spec)
     out = tmp_path / "val"
     out.mkdir()
-    value = {"cell_abc": "abc", "cell_nan": "nan", "moment_overflow": "1e300"}.get(case, "0.5")
+    row = {"cell_abc": "0.5,abc,0.5,0.5", "cell_nan": "0.5,nan,0.5,0.5",
+           "moment_overflow": "0.5,1e300,0.5,0.5", "member_count": "0.5,0.5,0.5",
+           "no_mass": "0,-0.5,0,-1"}.get(case, "0.5,0.5,0.5,0.5")
     if case != "no_trajectory":
         (out / "trajectory.csv").write_text(
-            "t,member_0,member_1,member_2,member_3\n" + f"1.0,0.5,{value},0.5,0.5\n")
+            "t,member_0,member_1,member_2,member_3\n" + f"1.0,{row}\n")
     code = main(["validate", "--scenario", str(path), "--out", str(out)])
     err = capsys.readouterr().err
     expected = {
@@ -651,6 +754,8 @@ def test_validate_input_faults_exit_with_documented_code(tmp_path, capsys, case)
         "cell_nan": (2, "trajectory.csv, last row: member values must be finite"),
         "no_trajectory": (2, "cannot read " + str(out / "trajectory.csv")),
         "moment_overflow": (3, "order-8 moments of the final states in"),
+        "member_count": (2, "trajectory members do not match the scenario grid"),
+        "no_mass": (3, "final labeled profile has no mass"),
     }[case]
     assert code == expected[0]
     assert expected[1] in err and "Traceback" not in err

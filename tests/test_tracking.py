@@ -312,6 +312,20 @@ def test_tpbvp_first_order_optimality_small_case():
     assert gap <= 1e-6
 
 
+def test_tpbvp_optimality_gap_names_the_solver_step():
+    # dt = 0.0125 divides the horizon, but the gap runs at dt/2, which does
+    # not divide its 25 variation segments of 0.04; the error names the dt
+    # of the solve, not the half step
+    q, p, dt = 3, 2, 0.0125
+    sys_ = build_linear_moment_system(q, p)
+    ref = _case_one_reference(q, 80)
+    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+    res = lq_tracking_tpbvp(sys_, ref, setup, dt)
+    with pytest.raises(ConfigError, match=r"the optimality gap needs dt/2 to divide its 25 "
+                                          r"variation segments; dt=0\.0125 does not$"):
+        tpbvp_optimality_gap(sys_, ref, setup, res)
+
+
 def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0):
     """The gap by brute force: the endpoint map from one run per unit hold
     (segment, channel), and each directional derivative as the central
