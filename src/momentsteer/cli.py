@@ -303,8 +303,11 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         clipped = np.clip(final, 0.0, None)
         # on the scale of m_0 = sum_j w_j x_j, independent of the member count
         payload["clipped_negative_mass"] = float((clipped - final) @ grid.weights)
-        inc = _cumulative_trapezoid(clipped, grid.nodes)
+        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite mass
+            inc = _cumulative_trapezoid(clipped, grid.nodes)
         total = inc[-1]
+        if not np.isfinite(total):
+            raise SolverError(f"the mass of the final labeled profile in {path} overflows")
         if total <= 0:
             raise SolverError("final labeled profile has no mass")
         payload["w2"] = wasserstein(CDFTable(grid.nodes, np.minimum(inc / total, 1.0)), target)
@@ -315,6 +318,9 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
     payload["d_m"] = moment_metric_values(m_final, _target_moments(scn.basis, target, scn.q))
     if scn.basis == FOURIER:
         payload["final_order_parameter"] = float(mean_field(final, grid)[0])
+    for key in ("w2", "d_m"):
+        if not np.isfinite(payload[key]):
+            raise SolverError(f"{key} of the final states in {path} is not finite")
 
     threshold = scn.thresholds["w2"]
     payload["threshold_w2"] = threshold

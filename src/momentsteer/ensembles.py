@@ -8,11 +8,14 @@ oscillators actuated through ``u * sin(theta)``.  Every run, single or
 batched, replayed or recorded for the adjoint, goes through one forward
 function, :func:`_simulate_segments_batch`.  The linear family takes each
 control segment in closed form, as the exact transfer of its RK4 steps
-(:func:`_linear_transfer`); Kuramoto takes its RK4 steps stage by stage.
+(:func:`_linear_transfer`); Kuramoto takes its RK4 steps stage by stage, and
+for the adjoint records each stage's cos x, sin x and mean-field sums, from
+which the reverse sweep (:func:`_rk4_adjoint`) runs with no trig.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -175,43 +178,29 @@ def _drive(model, grid: ParameterGrid):
     return lambda u: u[..., 0]
 
 
-def _field(model, grid: ParameterGrid):
+def _field(model, grid: ParameterGrid, record=None):
     """Right-hand side f(x, drive) of the model at one member vector ``x``.
 
     Kuramoto is written in cos/sin form: with z = sum_j w_j e^{i x_j} =
     zr + i zi and r = min(|z|, 1), K r sin(psi - x) equals
     k (zi cos x - zr sin x) with k = K / max(|z|, 1), so the clip is kept and
-    the coupling vanishes at z = 0."""
+    the coupling vanishes at z = 0.  A Kuramoto ``record`` of three blocks
+    ``(C, S, Z)`` keeps what :func:`_rk4_adjoint` reads: each call writes
+    cos x, sin x and (zr, zi) into the next row of C, S and Z."""
     nodes = grid.nodes
     if isinstance(model, LinearScalar):
         return lambda x, drive: nodes * x + drive
     K, w = model.coupling, grid.weights
+    # without a record, cos x and sin x go to new arrays and the sums to a scratch row
+    rows = zip(*record) if record else itertools.repeat((None, None, np.empty(2)))
 
     def kuramoto(x, drive):
-        c, s = np.cos(x), np.sin(x)
+        c, s, z = next(rows)
+        c, s = np.cos(x, out=c), np.sin(x, out=s)
         zr, zi = float(c @ w), float(s @ w)
+        z[0], z[1] = zr, zi
         k = K / max(math.hypot(zr, zi), 1.0)
         return nodes + (k * zi) * c + (drive - k * zr) * s
-
-    return kuramoto
-
-
-def _field_vjp(model: Kuramoto, grid: ParameterGrid):
-    """Vector-Jacobian product of the Kuramoto :func:`_field` at one member
-    vector ``x``: maps a cotangent ``b`` of f(x, drive) to the cotangents of
-    ``x`` and ``drive``.
-
-    It is taken of the unclipped field, in cos/sin form with the mean-field
-    sums zr + i zi = sum_j w_j e^{i x_j} as floats:
-    b ((drive - K zr) cos x - K zi sin x) + K w (cos x sum_j b_j cos x_j +
-    sin x sum_j b_j sin x_j), and the float sum_j b_j sin x_j for the drive."""
-    K, w = model.coupling, grid.weights
-    Kw = K * w
-
-    def kuramoto(x, drive, b):
-        c, s = np.cos(x), np.sin(x)
-        zr, zi, bc, bs = float(c @ w), float(s @ w), float(b @ c), float(b @ s)
-        return b * ((drive - K * zr) * c - (K * zi) * s) + Kw * (bc * c + bs * s), bs
 
     return kuramoto
 
@@ -231,24 +220,41 @@ def _linear_transfer(grid: ParameterGrid, per: int, dt: float):
     return powers[-1], dt * P * powers[:-1].sum(axis=0)
 
 
-def _rk4_adjoint(vjp, stages, drives, per: int, dt: float, seeds) -> np.ndarray:
+def _rk4_adjoint(model: Kuramoto, grid: ParameterGrid, record, drives, per: int, dt: float,
+                 seeds) -> np.ndarray:
     """Reverse sweep of Kuramoto's RK4 steps in :func:`_simulate_segments_batch`:
-    the exact discrete adjoint.
+    the exact discrete adjoint, read from the forward's ``record`` of every
+    stage (see :func:`_field`), so it forms no trig and no mean-field sums.
 
-    ``stages`` holds the four stage inputs of every forward step in order,
-    one row each; ``seeds`` holds the cotangents of the states at the segment
-    boundaries (one row per boundary).  Returns the cotangent of each
-    segment's drive.  The phase wrap has identity derivative."""
+    ``seeds`` holds the cotangents of the states at the segment boundaries
+    (one row per boundary).  Returns the cotangent of each segment's drive.
+    The phase wrap has identity derivative.  A stage pulls the cotangent
+    ``b`` of its field value back through the unclipped field, in cos/sin
+    form, to b ((drive - K zr) cos x - K zi sin x) + K w (cos x sum_j b_j
+    cos x_j + sin x sum_j b_j sin x_j) for x and to the float
+    sum_j b_j sin x_j for the drive.  The member-wise first factor depends on
+    the forward alone; it is formed for one segment's 4 * per stages at a
+    time."""
+    C, S, Z = record
+    K, Kw = model.coupling, model.coupling * grid.weights
+
+    def vjp(i, b):  # stage i of the segment whose Cs, Ss and diag the loop below holds
+        c, s = Cs[i], Ss[i]
+        bc, bs = float(b @ c), float(b @ s)
+        return b * diag[i] + Kw * (bc * c + bs * s), bs
+
     xbar = seeds[-1]
     dbar = np.zeros_like(drives)
     for seg in range(len(drives) - 1, -1, -1):
-        d = drives[seg]
-        for n in range(per * (seg + 1) - 1, per * seg - 1, -1):
-            x, y2, y3, y4 = stages[4 * n : 4 * n + 4]
-            b4, g4 = vjp(y4, d, dt / 6 * xbar)
-            b3, g3 = vjp(y3, d, dt / 3 * xbar + dt * b4)
-            b2, g2 = vjp(y2, d, dt / 3 * xbar + dt / 2 * b3)
-            b1, g1 = vjp(x, d, dt / 6 * xbar + dt / 2 * b2)
+        rows = slice(4 * per * seg, 4 * per * (seg + 1))
+        Cs, Ss = C[rows], S[rows]
+        diag = (drives[seg] - K * Z[rows, :1]) * Cs - (K * Z[rows, 1:]) * Ss
+        for i in range(4 * per - 4, -1, -4):  # the step's first stage
+            x6, x3 = dt / 6 * xbar, dt / 3 * xbar
+            b4, g4 = vjp(i + 3, x6)
+            b3, g3 = vjp(i + 2, x3 + dt * b4)
+            b2, g2 = vjp(i + 1, x3 + dt / 2 * b3)
+            b1, g1 = vjp(i, x6 + dt / 2 * b2)
             xbar = xbar + b1 + b2 + b3 + b4
             dbar[seg] += g1 + g2 + g3 + g4
         xbar = xbar + seeds[seg]
@@ -305,7 +311,7 @@ def simulate(model, x0, grid: ParameterGrid, control: ControlSignal, dt: float) 
     return Trajectory(times, states, grid)
 
 
-def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
+def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
     """The package's one ensemble forward run: classical fixed-step RK4 for a
     batch of piecewise-constant controls, sampled at the segment boundaries.
 
@@ -315,10 +321,11 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
     of its control alone, bit for bit.  The linear family advances a whole
     segment at once by the exact transfer of its RK4 steps
     (:func:`_linear_transfer`).  Kuramoto takes its RK4 steps stage by stage
-    and wraps the phases to [0, 2*pi) after every step; an array passed as
-    ``stages``, with B = 1 and one row for each of the
-    4 * n_intervals * (interval / dt) stages, receives the four stage inputs
-    of every step, in order, for :func:`_rk4_adjoint`.  A non-finite state
+    and wraps the phases to [0, 2*pi) after every step; a ``record``
+    ``(C, S, Z)`` passed with B = 1, three blocks with one row for each of
+    the 4 * n_intervals * (interval / dt) stages, receives every stage's
+    cos x, sin x and mean-field sums, in order, for :func:`_rk4_adjoint`
+    (see :func:`_field`).  A non-finite state
     raises :class:`SolverError` at the first boundary of a row where it
     appears, with its time from the run's start.
     """
@@ -332,13 +339,7 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, stages=None):
         def advance(x, drive):
             return Rp * x + S * drive
     else:
-        f = _field(model, grid)
-        if stages is not None:
-            field_, row_of = f, iter(range(len(stages)))
-
-            def f(x, drive):
-                stages[next(row_of)] = x
-                return field_(x, drive)
+        f = _field(model, grid, record)
 
         def advance(x, drive):
             for _ in range(per):
@@ -370,8 +371,9 @@ def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
     states (n_intervals + 1, n) and the pullback mapping their cotangents to
     that of ``u``.  The linear family's pullback is the transposed segment
     transfer: the drive of segment s gets S times the cotangent of boundary
-    s + 1, which then passes back through Rp.  Kuramoto's run records every
-    RK4 stage input, one row each, for :func:`_rk4_adjoint`."""
+    s + 1, which then passes back through Rp.  Kuramoto's run records, for
+    every RK4 stage, cos x and sin x (one row each) and the mean-field sums,
+    and :func:`_rk4_adjoint` sweeps back from that record alone."""
     per = _steps_per_interval(horizon / u.shape[0], dt)
     if isinstance(model, LinearScalar):
         bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt)[0]
@@ -386,12 +388,17 @@ def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
             return dbar @ _profile(model, grid).T
 
         return bounds, pullback
-    # one block rather than a list of member vectors: the heap stays unfragmented
-    stages = np.empty((4 * per * u.shape[0], grid.size))
-    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, stages=stages)[0]
+    # blocks rather than lists of member vectors: the heap stays unfragmented.
+    # C and S are two allocations: under glibc's malloc one joint block of
+    # both stayed resident once freed, and raised the peak RSS of a
+    # track + validate run on kuramoto_sync's size by 2.4 MB
+    n_stages = 4 * per * u.shape[0]
+    record = (np.empty((n_stages, grid.size)), np.empty((n_stages, grid.size)),
+              np.empty((n_stages, 2)))
+    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, record=record)[0]
 
     def pullback(seeds):
         # Kuramoto's drive is u_1, its one control column
-        return _rk4_adjoint(_field_vjp(model, grid), stages, u[:, 0], per, dt, seeds)[:, None]
+        return _rk4_adjoint(model, grid, record, u[:, 0], per, dt, seeds)[:, None]
 
     return bounds, pullback

@@ -93,8 +93,10 @@ class GridDensity:
         if not self.signed:
             if np.any(vals < 0):
                 raise ConfigError("density samples must be nonnegative")
-            if abs(self.mass() - 1.0) > 1e-6:
-                raise ConfigError("density must integrate to 1 within 1e-6; call normalized()")
+            mass = self.mass()
+            if abs(mass - 1.0) > 1e-6:
+                raise ConfigError(f"density must integrate to 1 within 1e-6 (it integrates to "
+                                  f"{mass:.10g})")
 
     @property
     def xs(self) -> np.ndarray:

@@ -6,7 +6,8 @@ Moré–Thuente line search (:mod:`momentsteer.lbfgs`; Byrd, Lu, Nocedal & Zhu
 discrete adjoint (one forward run and one reverse sweep per evaluation).
 
 The fixed-endpoint solution is checked by its defect against the exact
-(matrix-exponential) solution of its ODE and by its optimality gap.
+(matrix-exponential) solution of its ODE, the moment and costate blocks each
+on its own scale, and by its optimality gap.
 """
 
 from __future__ import annotations
@@ -273,9 +274,11 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, ref: MomentReference, setup: LQS
     forced system homogeneous: dw/dt = A_hat w (Van Loan 1978).  One step
     exponential of A_hat then carries w from instant to instant, in
     longdouble.  The costate components are orders of magnitude larger than
-    the moment components, so the defect is reported relative to the
-    trajectory's sup norm.  A reference without a plan has no polynomial
-    path and raises :class:`ConfigError`.
+    the moment components, so each block is measured on its own scale: the
+    defect is the larger of the moment block's sup-norm defect over max|m|
+    and the costate block's over max|lambda| (each scale at least 1).  A
+    reference without a plan has no polynomial path and raises
+    :class:`ConfigError`.
     """
     _check_labeled_reference(sys, ref)
     if ref.plan is None:
@@ -296,8 +299,9 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, ref: MomentReference, setup: LQS
     for k in range(z.shape[0]):
         exact[k] = w[: 2 * n]
         w = phi @ w
-    scale = max(1.0, float(np.abs(z).max()))
-    return float(np.abs(exact - z).max() / scale)
+    defect = np.abs(exact - z)
+    return max(float(defect[:, blk].max()) / max(1.0, float(np.abs(z[:, blk]).max()))
+               for blk in (slice(0, n), slice(n, 2 * n)))
 
 
 # control segments of the optimality-gap variations, and the passes of the
@@ -383,7 +387,8 @@ def tpbvp_optimality_gap(
 def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight):
     """The discrete shooting objective at the control ``u`` (n_intervals, p)
     and its exact gradient: one forward RK4 run (for Kuramoto it records
-    every stage input), the cotangents of the boundary moments through d_M
+    every stage's cos x, sin x and mean-field sums), the cotangents of the
+    boundary moments through d_M
     and the trapezoid weights, then one reverse sweep through the same
     segments (:func:`_segments_vjp`).  Returns
     ``(J, g, mom)`` with the boundary moments ``mom`` of that run; a

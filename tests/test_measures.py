@@ -231,7 +231,7 @@ def test_truncated_gaussian_rejects_degenerate():
 def test_grid_density_invariants():
     with pytest.raises(ConfigError):
         GridDensity((0.0, 1.0), np.array([1.0, -0.1, 1.0]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"within 1e-6 \(it integrates to 3\)$"):
         GridDensity((0.0, 1.0), np.full(11, 3.0))
     f = GridDensity.normalized((0.0, 1.0), np.full(11, 3.0))
     assert abs(f.mass() - 1.0) < 1e-12

@@ -23,7 +23,8 @@ from momentsteer import (  # noqa: E402
     member_moments,
     simulate,
 )
-from momentsteer.ensembles import _field, _field_vjp, _simulate_segments_batch  # noqa: E402
+from momentsteer.ensembles import (  # noqa: E402
+    _field, _segments_vjp, _simulate_segments_batch)
 from momentsteer.moment_systems import _rk4_affine  # noqa: E402
 from momentsteer.tracking import _shooting_objective  # noqa: E402
 from momentsteer.transport import _path_coefficients, _path_moments  # noqa: E402
@@ -145,10 +146,41 @@ def _complex_field_vjp(K, g, x, drive, b):
     return xbar, np.sum(b * e.imag)
 
 
+def _stage_by_stage_sweep(K, g, x0, drives, per, dt, seeds):
+    """Kuramoto's RK4 forward in complex form, keeping every stage input,
+    then its reverse sweep with each stage's VJP recomputed from that input
+    (:func:`_complex_field_vjp`); returns the cotangent of each drive."""
+    steps, x = [], x0
+    for d in drives:
+        for _ in range(per):
+            k1 = _complex_field(K, g, x, d)
+            y2 = x + dt / 2 * k1
+            k2 = _complex_field(K, g, y2, d)
+            y3 = x + dt / 2 * k2
+            k3 = _complex_field(K, g, y3, d)
+            y4 = x + dt * k3
+            k4 = _complex_field(K, g, y4, d)
+            steps.append((x, y2, y3, y4))
+            x = np.mod(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), 2 * np.pi)
+    xbar, dbar = seeds[-1], np.zeros(len(drives))
+    for seg in range(len(drives) - 1, -1, -1):
+        d = drives[seg]
+        for y1, y2, y3, y4 in reversed(steps[seg * per:(seg + 1) * per]):
+            b4, g4 = _complex_field_vjp(K, g, y4, d, dt / 6 * xbar)
+            b3, g3 = _complex_field_vjp(K, g, y3, d, dt / 3 * xbar + dt * b4)
+            b2, g2 = _complex_field_vjp(K, g, y2, d, dt / 3 * xbar + dt / 2 * b3)
+            b1, g1 = _complex_field_vjp(K, g, y1, d, dt / 6 * xbar + dt / 2 * b2)
+            xbar = xbar + b1 + b2 + b3 + b4
+            dbar[seg] += g1 + g2 + g3 + g4
+        xbar = xbar + seeds[seg]
+    return dbar
+
+
 @PROPERTY
 @given(phases=st.sampled_from(["random", "synchronized", "antipodal"]),
-       half=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
-def test_kuramoto_field_and_vjp_match_complex_form(phases, half, seed):
+       half=st.integers(1, 20), n_int=st.integers(1, 4), per=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_kuramoto_field_and_vjp_match_complex_form(phases, half, n_int, per, seed):
     rng = np.random.default_rng(seed)
     members = 2 * half
     g = make_uniform_grid(members, -1.0, 1.0)
@@ -159,15 +191,18 @@ def test_kuramoto_field_and_vjp_match_complex_form(phases, half, seed):
         x = np.full(members, a)
     else:  # half the members opposite the other half: |z| = 0 up to rounding
         x = np.concatenate([np.full(half, a), np.full(half, np.mod(a + np.pi, 2 * np.pi))])
-    b = rng.standard_normal(members)
     model = Kuramoto(coupling=K)
     np.testing.assert_allclose(_field(model, g)(x, drive), _complex_field(K, g, x, drive),
                                rtol=0, atol=1e-13)
-    xbar, dbar = _field_vjp(model, g)(x, drive, b)
-    xbar_ref, dbar_ref = _complex_field_vjp(K, g, x, drive, b)
-    np.testing.assert_allclose(xbar, xbar_ref, rtol=0, atol=1e-13)
-    assert abs(dbar - dbar_ref) <= 1e-13
-
+    # the sweep from the forward's record against the stage-by-stage sweep
+    # from stage inputs, with the run starting at x
+    dt = 1.0 / n_int / per
+    u = rng.standard_normal((n_int, 1))
+    bounds, pullback = _segments_vjp(model, g, x, u, 1.0, dt)
+    seeds = rng.standard_normal(bounds.shape)
+    want = _stage_by_stage_sweep(K, g, x, u[:, 0], per, dt, seeds)
+    np.testing.assert_allclose(pullback(seeds)[:, 0], want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def _stage_rk4(A, z0, forcing_half, dt, dtype, hold, per):

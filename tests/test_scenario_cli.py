@@ -729,21 +729,23 @@ def test_validate_seeded_sampling_reproducible(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["cell_abc", "cell_nan", "no_trajectory", "moment_overflow",
-                                  "member_count", "no_mass"])
+                                  "member_count", "no_mass", "mass_overflow"])
 def test_validate_input_faults_exit_with_documented_code(tmp_path, capsys, case):
     # faults in validate's inputs exit 2 (configuration) or 3 (moment
-    # overflow, a labeled profile without mass) with a message naming the
-    # file or cause, never a traceback; a missing scenario file is covered
-    # for every subcommand below
+    # overflow, a labeled profile without mass or whose mass overflows)
+    # with a message naming the file or cause, never a traceback; a missing
+    # scenario file is covered for every subcommand below
     spec = _linear_sim_scenario(q=8, grid={"members": 4, "lo": 0.0, "hi": 1.0})
-    if case == "no_mass":
+    if case in ("no_mass", "mass_overflow"):
         spec["basis"] = "monomial_param"
     path = _write(tmp_path, spec)
     out = tmp_path / "val"
     out.mkdir()
     row = {"cell_abc": "0.5,abc,0.5,0.5", "cell_nan": "0.5,nan,0.5,0.5",
            "moment_overflow": "0.5,1e300,0.5,0.5", "member_count": "0.5,0.5,0.5",
-           "no_mass": "0,-0.5,0,-1"}.get(case, "0.5,0.5,0.5,0.5")
+           "no_mass": "0,-0.5,0,-1",
+           # finite moments, but the trapezoid mass overflows
+           "mass_overflow": "1e308,1.7e308,1.7e308,1e308"}.get(case, "0.5,0.5,0.5,0.5")
     if case != "no_trajectory":
         (out / "trajectory.csv").write_text(
             "t,member_0,member_1,member_2,member_3\n" + f"1.0,{row}\n")
@@ -756,9 +758,12 @@ def test_validate_input_faults_exit_with_documented_code(tmp_path, capsys, case)
         "moment_overflow": (3, "order-8 moments of the final states in"),
         "member_count": (2, "trajectory members do not match the scenario grid"),
         "no_mass": (3, "final labeled profile has no mass"),
+        "mass_overflow": (3, "the mass of the final labeled profile in"),
     }[case]
     assert code == expected[0]
     assert expected[1] in err and "Traceback" not in err
+    if code == 3:
+        assert not (out / "validation.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan", "track", "validate"])

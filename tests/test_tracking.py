@@ -199,7 +199,9 @@ def _ode_residual_oracle(sys_, setup, ref, result):
     sol = solve_ivp(rhs, (result.times[0], result.times[-1]), z[0], method="DOP853",
                     rtol=1e-13, atol=1e-13, t_eval=result.times)
     assert sol.success
-    return float(np.abs(sol.y.T - z).max() / max(1.0, float(np.abs(z).max())))
+    defect = np.abs(sol.y.T - z)
+    return max(defect[:, blk].max() / max(1.0, np.abs(z[:, blk]).max())
+               for blk in (slice(0, n), slice(n, 2 * n)))
 
 
 @pytest.fixture(scope="module", params=[(3, 2), (8, 4)], ids=["q3", "q8"])
@@ -213,10 +215,29 @@ def tpbvp_case(request):
 
 
 def test_ode_residual_matches_dop853_oracle(tpbvp_case):
+    # each block on its own scale: the moment block carries RK4's error of
+    # the solve (2.3e-9 on q = 8), which the costate's scale, up to 7e8,
+    # would hide.  The oracle's own error in the moment block, driven by the
+    # costate at DOP853's rtol of 1e-13, is 6.7e-11 of max|m| on q = 8
     sys_, ref, setup, res = tpbvp_case
     exact = tpbvp_ode_residual(sys_, ref, setup, res)
-    assert exact <= 1e-13
-    assert abs(exact - _ode_residual_oracle(sys_, setup, ref, res)) <= 1e-13
+    assert exact <= 1e-8
+    assert abs(exact - _ode_residual_oracle(sys_, setup, ref, res)) <= 1e-10
+
+
+@pytest.mark.parametrize("corruption", ["moments+1e-6", "moments+1e-3", "costate*1.5"])
+def test_ode_residual_fails_corrupted_trajectory(tpbvp_case, corruption):
+    # a wrong moment trajectory on 200 of the 1001 instants, or a wrong
+    # costate, must fail the bound of 1e-8
+    sys_, ref, setup, res = tpbvp_case
+    moments, lam = res.moments.copy(), res.info["lambda_trace"]
+    if corruption == "costate*1.5":
+        lam = 1.5 * lam
+    else:
+        moments[400:600] += float(corruption.split("+")[1])
+    bent = TrackingResult(res.control, res.times, moments, res.residuals, res.cost,
+                          info={**res.info, "lambda_trace": lam})
+    assert tpbvp_ode_residual(sys_, ref, setup, bent) > 1e-8
 
 
 def test_ode_residual_detects_perturbed_costate(tpbvp_case):
