@@ -388,9 +388,8 @@ def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy
     """The discrete shooting objective at the control ``u`` (n_intervals, p)
     and its exact gradient: one forward RK4 run (for Kuramoto it records
     every stage's cos x, sin x and mean-field sums), the cotangents of the
-    boundary moments through d_M
-    and the trapezoid weights, then one reverse sweep through the same
-    segments (:func:`_segments_vjp`).  Returns
+    boundary moments through d_M and the trapezoid weights, then one reverse
+    sweep through the same segments (:func:`_segments_vjp`).  Returns
     ``(J, g, mom)`` with the boundary moments ``mom`` of that run; a
     non-finite forward run, cost or gradient raises :class:`SolverError`."""
     n_int = u.shape[0]
