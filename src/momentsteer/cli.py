@@ -125,6 +125,18 @@ def _check_thresholds(scn: Scenario, summary: dict) -> list:
 REPLAY_BLOWUP = 1e3
 
 
+def _replay(model, x0, grid, control: ControlSignal, dt: float):
+    """Replay ``control`` on the full ensemble at ``dt``.  Returns the times
+    and member rows of trajectory.csv, one per control-interval boundary (the
+    last is the replay's final state), and the largest member magnitude over
+    every step.  Strided rows are copied, so the replay's states are freed on
+    return and later temporaries can reuse their memory."""
+    traj = simulate(model, x0, grid, control, dt)
+    per = _steps_per_interval(control.horizon / control.values.shape[0], dt)
+    replay_max = float(abs(max(traj.states.max(), -traj.states.min())))  # no |states| copy
+    return traj.times[::per], np.ascontiguousarray(traj.states[::per]), replay_max
+
+
 def cmd_track(scn: Scenario, out: Path) -> int:
     t_start = time.monotonic()
     model = scn.build_model()
@@ -193,8 +205,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             initial_guess=guess,
         )
 
-    # replay the synthesized control on the ensemble at full resolution
-    traj = simulate(model, x0, grid, result.control, scn.dt)
+    times, rows, replay_max = _replay(model, x0, grid, result.control, scn.dt)
 
     _write_csv(
         out / "control.csv",
@@ -205,14 +216,10 @@ def cmd_track(scn: Scenario, out: Path) -> int:
                np.column_stack([result.times, _re_im(result.moments)]))
     _write_csv(out / "residual.csv", ["t", "residual"],
                np.column_stack([result.times, result.residuals]))
-    # one row per control-interval boundary; the replay itself ran at dt
-    per = _steps_per_interval(result.control.horizon / result.control.values.shape[0], scn.dt)
     header = ["t"] + [f"member_{j}" for j in range(grid.size)]
-    _write_csv(out / "trajectory.csv", header,
-               np.column_stack([traj.times[::per], traj.states[::per]]))
+    _write_csv(out / "trajectory.csv", header, np.column_stack([times, rows]))
 
     # the moment-space residuals cannot see members that blow up in the replay
-    replay_max = float(abs(max(traj.states.max(), -traj.states.min())))  # no |states| copy
     start_max = max(1.0, float(np.max(np.abs(x0))))
     if replay_max > REPLAY_BLOWUP * start_max:
         warnings.warn(
@@ -232,6 +239,13 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         "replay_max_abs_state": replay_max,
         "runtime_s": time.monotonic() - t_start,
     }
+    if method == "shooting":
+        # d_M of the replay's trajectory.csv rows, against the reference the
+        # optimizer tracked; the residuals above are the optimizer's ensemble
+        replay = moment_metric_values(member_moments(rows, grid, scn.basis, scn.q),
+                                      ref.value(result.times))
+        summary["replay_max_residual"] = float(np.max(replay))
+        summary["replay_final_residual"] = float(replay[-1])
     for key in ("boundary_residual_start", "boundary_residual_end", "matching_condition",
                 "hht_condition", "iterations"):
         if key in result.info:
@@ -240,7 +254,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     if "stop_reason" in result.info:
         summary["stop_reason"] = result.info["stop_reason"]
     if isinstance(model, Kuramoto):
-        r_final, _ = mean_field(traj.states[-1], grid)
+        r_final, _ = mean_field(rows[-1], grid)
         summary["final_order_parameter"] = float(r_final)
     failures = _check_thresholds(scn, summary)
     summary["threshold_failures"] = failures

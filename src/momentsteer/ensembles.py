@@ -179,7 +179,8 @@ def _drive(model, grid: ParameterGrid):
 
 
 def _field(model, grid: ParameterGrid, record=None):
-    """Right-hand side f(x, drive) of the model at one member vector ``x``.
+    """Right-hand side f(x, drive, out) of the model at one member vector
+    ``x``, written into ``out``, which it returns.
 
     Kuramoto is written in cos/sin form: with z = sum_j w_j e^{i x_j} =
     zr + i zi and r = min(|z|, 1), K r sin(psi - x) equals
@@ -189,18 +190,23 @@ def _field(model, grid: ParameterGrid, record=None):
     cos x, sin x and (zr, zi) into the next row of C, S and Z."""
     nodes = grid.nodes
     if isinstance(model, LinearScalar):
-        return lambda x, drive: nodes * x + drive
+        return lambda x, drive, out: np.add(nodes * x, drive, out=out)
     K, w = model.coupling, grid.weights
-    # without a record, cos x and sin x go to new arrays and the sums to a scratch row
-    rows = zip(*record) if record else itertools.repeat((None, None, np.empty(2)))
+    scratch = np.empty(grid.size)
+    # without a record, cos x, sin x and the sums go to one reused scratch row each
+    rows = zip(*record) if record else itertools.repeat(
+        (np.empty(grid.size), np.empty(grid.size), np.empty(2)))
 
-    def kuramoto(x, drive):
+    def kuramoto(x, drive, out):
         c, s, z = next(rows)
-        c, s = np.cos(x, out=c), np.sin(x, out=s)
-        zr, zi = float(c @ w), float(s @ w)
+        np.cos(x, out=c)
+        np.sin(x, out=s)
+        zr, zi = float(c.dot(w)), float(s.dot(w))  # ndarray.dot: the ddot of @, called faster
         z[0], z[1] = zr, zi
         k = K / max(math.hypot(zr, zi), 1.0)
-        return nodes + (k * zi) * c + (drive - k * zr) * s
+        # nodes + (k zi) c + (drive - k zr) s, summed in that order
+        np.add(nodes, np.multiply(c, k * zi, out=out), out=out)
+        return np.add(out, np.multiply(s, drive - k * zr, out=scratch), out=out)
 
     return kuramoto
 
@@ -237,27 +243,40 @@ def _rk4_adjoint(model: Kuramoto, grid: ParameterGrid, record, drives, per: int,
     time."""
     C, S, Z = record
     K, Kw = model.coupling, model.coupling * grid.weights
+    n = grid.size
+    # stage cotangents b1..b4, the stage input y, dt/6 and dt/3 of xbar, and
+    # the sweep's temporaries, each written in place
+    b1, b2, b3, b4, y, x6, x3, t, t2 = np.empty((9, n))
+    diag, diag2 = np.empty((2, 4 * per, n))
 
-    def vjp(i, b):  # stage i of the segment whose Cs, Ss and diag the loop below holds
+    def vjp(i, b, out):  # stage i of the segment whose Cs, Ss and diag the loop below holds
         c, s = Cs[i], Ss[i]
-        bc, bs = float(b @ c), float(b @ s)
-        return b * diag[i] + Kw * (bc * c + bs * s), bs
+        bc, bs = float(b.dot(c)), float(b.dot(s))
+        # b diag + Kw (bc c + bs s)
+        np.add(np.multiply(c, bc, out=t), np.multiply(s, bs, out=t2), out=t)
+        np.multiply(Kw, t, out=t)
+        np.add(np.multiply(b, diag[i], out=out), t, out=out)
+        return bs
 
-    xbar = seeds[-1]
+    xbar = seeds[-1].copy()
     dbar = np.zeros_like(drives)
     for seg in range(len(drives) - 1, -1, -1):
         rows = slice(4 * per * seg, 4 * per * (seg + 1))
         Cs, Ss = C[rows], S[rows]
-        diag = (drives[seg] - K * Z[rows, :1]) * Cs - (K * Z[rows, 1:]) * Ss
+        # (drive - K zr) cos x - (K zi) sin x
+        np.multiply(drives[seg] - K * Z[rows, :1], Cs, out=diag)
+        np.subtract(diag, np.multiply(K * Z[rows, 1:], Ss, out=diag2), out=diag)
         for i in range(4 * per - 4, -1, -4):  # the step's first stage
-            x6, x3 = dt / 6 * xbar, dt / 3 * xbar
-            b4, g4 = vjp(i + 3, x6)
-            b3, g3 = vjp(i + 2, x3 + dt * b4)
-            b2, g2 = vjp(i + 1, x3 + dt / 2 * b3)
-            b1, g1 = vjp(i, x6 + dt / 2 * b2)
-            xbar = xbar + b1 + b2 + b3 + b4
+            np.multiply(xbar, dt / 6, out=x6)
+            np.multiply(xbar, dt / 3, out=x3)
+            g4 = vjp(i + 3, x6, b4)
+            g3 = vjp(i + 2, np.add(x3, np.multiply(b4, dt, out=y), out=y), b3)
+            g2 = vjp(i + 1, np.add(x3, np.multiply(b3, dt / 2, out=y), out=y), b2)
+            g1 = vjp(i, np.add(x6, np.multiply(b2, dt / 2, out=y), out=y), b1)
+            for b in (b1, b2, b3, b4):
+                np.add(xbar, b, out=xbar)
             dbar[seg] += g1 + g2 + g3 + g4
-        xbar = xbar + seeds[seg]
+        np.add(xbar, seeds[seg], out=xbar)
     return dbar
 
 
@@ -269,7 +288,7 @@ def rhs(model, x, grid: ParameterGrid, u) -> np.ndarray:
         raise ValueError("state length must equal grid size")
     if u.size != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} control values, got {u.size}")
-    return _field(model, grid)(x, _drive(model, grid)(u))
+    return _field(model, grid)(x, _drive(model, grid)(u), np.empty_like(x))
 
 
 def _steps_per_interval(interval: float, dt: float) -> int:
@@ -340,14 +359,21 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
             return Rp * x + S * drive
     else:
         f = _field(model, grid, record)
+        # the stage derivatives, the stage input or step sum y, and the state
+        k1, k2, k3, k4, y, state = np.empty((6, grid.size))
+        two_pi = 2 * np.pi
 
         def advance(x, drive):
             for _ in range(per):
-                k1 = f(x, drive)
-                k2 = f(x + dt / 2 * k1, drive)
-                k3 = f(x + dt / 2 * k2, drive)
-                k4 = f(x + dt * k3, drive)
-                x = np.mod(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), 2 * np.pi)
+                f(x, drive, k1)
+                f(np.add(x, np.multiply(k1, dt / 2, out=y), out=y), drive, k2)
+                f(np.add(x, np.multiply(k2, dt / 2, out=y), out=y), drive, k3)
+                f(np.add(x, np.multiply(k3, dt, out=y), out=y), drive, k4)
+                # x + dt/6 (((k1 + 2 k2) + 2 k3) + k4), wrapped
+                np.add(k1, np.multiply(k2, 2, out=y), out=y)
+                np.add(y, np.multiply(k3, 2, out=k3), out=y)
+                np.multiply(np.add(y, k4, out=y), dt / 6, out=y)
+                x = np.mod(np.add(x, y, out=y), two_pi, out=state)
             return x
 
     drive_of = _drive(model, grid)
@@ -366,14 +392,34 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
     return out
 
 
-def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
+def _adjoint_record(model, grid: ParameterGrid, n_intervals: int, per: int):
+    """The record a Kuramoto forward run of ``n_intervals`` segments of
+    ``per`` steps fills for :func:`_rk4_adjoint`: blocks C and S with one row
+    per RK4 stage, for cos x and sin x, and Z with the stage's mean-field
+    sums (see :func:`_field`).  The linear family's pullback needs none:
+    returns None.  A record is overwritten by every run it is passed to.
+
+    Blocks rather than lists of member vectors keep the heap unfragmented.
+    C and S are two allocations: under glibc's malloc one joint block of
+    both stayed resident once freed, and raised the peak RSS of a
+    track + validate run on kuramoto_sync's size by 2.4 MB."""
+    if isinstance(model, LinearScalar):
+        return None
+    n_stages = 4 * per * n_intervals
+    return (np.empty((n_stages, grid.size)), np.empty((n_stages, grid.size)),
+            np.empty((n_stages, 2)))
+
+
+def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float, *,
+                  record=None):
     """Forward run of one control ``u`` (n_intervals, p); returns the boundary
     states (n_intervals + 1, n) and the pullback mapping their cotangents to
     that of ``u``.  The linear family's pullback is the transposed segment
     transfer: the drive of segment s gets S times the cotangent of boundary
-    s + 1, which then passes back through Rp.  Kuramoto's run records, for
-    every RK4 stage, cos x and sin x (one row each) and the mean-field sums,
-    and :func:`_rk4_adjoint` sweeps back from that record alone."""
+    s + 1, which then passes back through Rp.  Kuramoto's run fills
+    ``record`` (from :func:`_adjoint_record`, allocated here when none is
+    passed), and :func:`_rk4_adjoint` sweeps back from that record alone; the
+    pullback must run before the record's next forward run."""
     per = _steps_per_interval(horizon / u.shape[0], dt)
     if isinstance(model, LinearScalar):
         bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt)[0]
@@ -388,13 +434,8 @@ def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float):
             return dbar @ _profile(model, grid).T
 
         return bounds, pullback
-    # blocks rather than lists of member vectors: the heap stays unfragmented.
-    # C and S are two allocations: under glibc's malloc one joint block of
-    # both stayed resident once freed, and raised the peak RSS of a
-    # track + validate run on kuramoto_sync's size by 2.4 MB
-    n_stages = 4 * per * u.shape[0]
-    record = (np.empty((n_stages, grid.size)), np.empty((n_stages, grid.size)),
-              np.empty((n_stages, 2)))
+    if record is None:
+        record = _adjoint_record(model, grid, u.shape[0], per)
     bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, record=record)[0]
 
     def pullback(seeds):

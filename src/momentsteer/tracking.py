@@ -22,6 +22,7 @@ from .ensembles import (
     ControlSignal,
     LinearScalar,
     ParameterGrid,
+    _adjoint_record,
     _segments_vjp,
     _simulate_segments_batch,  # noqa: F401  bench/tracing.py wraps the loop under this name
     _steps_per_interval,
@@ -384,17 +385,19 @@ def tpbvp_optimality_gap(
     return float(np.max(gaps, initial=0.0))
 
 
-def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight):
+def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight,
+                        record=None):
     """The discrete shooting objective at the control ``u`` (n_intervals, p)
-    and its exact gradient: one forward RK4 run (for Kuramoto it records
-    every stage's cos x, sin x and mean-field sums), the cotangents of the
-    boundary moments through d_M and the trapezoid weights, then one reverse
-    sweep through the same segments (:func:`_segments_vjp`).  Returns
+    and its exact gradient: one forward RK4 run (for Kuramoto it fills
+    ``record`` with every stage's cos x, sin x and mean-field sums; see
+    :func:`_segments_vjp`), the cotangents of the boundary moments through
+    d_M and the trapezoid weights, then one reverse sweep through the same
+    segments, which reads the record before this call returns.  Returns
     ``(J, g, mom)`` with the boundary moments ``mom`` of that run; a
     non-finite forward run, cost or gradient raises :class:`SolverError`."""
     n_int = u.shape[0]
     h = horizon / n_int
-    bounds, pullback = _segments_vjp(model, grid, x0, u, horizon, dt)
+    bounds, pullback = _segments_vjp(model, grid, x0, u, horizon, dt, record=record)
     trap = np.full(n_int + 1, h)
     trap[[0, -1]] = h / 2
     mom = member_moments(bounds, grid, basis, q)
@@ -459,12 +462,16 @@ def direct_shooting(
         u = np.array(initial_guess, dtype=float).reshape(n_intervals, p)
 
     evaluations = []  # (J, |g|, control, boundary moments) of every objective evaluation
+    # one record for every evaluation of this run, dropped on return, before
+    # the caller replays the control: reused blocks are not faulted in anew
+    record = _adjoint_record(model, grid, n_intervals,
+                             _steps_per_interval(horizon / n_intervals, dt))
 
     def objective(v):
         try:
             J, g, mom = _shooting_objective(model, grid, x0, ref.basis, ref.order, m_ref,
                                             v.reshape(n_intervals, p), horizon, dt,
-                                            energy_weight)
+                                            energy_weight, record)
         except SolverError as exc:
             if not evaluations:
                 raise SolverError(f"initial control: {exc}") from None

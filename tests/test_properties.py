@@ -192,7 +192,8 @@ def test_kuramoto_field_and_vjp_match_complex_form(phases, half, n_int, per, see
     else:  # half the members opposite the other half: |z| = 0 up to rounding
         x = np.concatenate([np.full(half, a), np.full(half, np.mod(a + np.pi, 2 * np.pi))])
     model = Kuramoto(coupling=K)
-    np.testing.assert_allclose(_field(model, g)(x, drive), _complex_field(K, g, x, drive),
+    np.testing.assert_allclose(_field(model, g)(x, drive, np.empty(members)),
+                               _complex_field(K, g, x, drive),
                                rtol=0, atol=1e-13)
     # the sweep from the forward's record against the stage-by-stage sweep
     # from stage inputs, with the run starting at x

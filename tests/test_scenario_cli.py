@@ -243,6 +243,39 @@ def test_replay_summary_is_full_resolution(tmp_path, kind):
         assert np.max(np.abs(rows[:, 1:])) < summary["replay_max_abs_state"]
 
 
+@pytest.mark.parametrize("kind", ["kuramoto", "linear"])
+def test_replay_residuals_describe_the_replay(tmp_path, kind):
+    # the Kuramoto optimizer runs on the replay's grid and dt, so its recorded,
+    # buffered forward run and the record-less replay must be one arithmetic;
+    # with fewer optimizer members the replay keys are d_M of the written rows
+    from momentsteer import member_moments, moment_metric_values
+
+    if kind == "kuramoto":
+        spec = _kuramoto_scenario(solver={"method": "shooting", "intervals": 8,
+                                          "iterations": 3, "optimize_dt": 2.5e-3})
+    else:
+        spec = _small_shooting_scenario()
+        spec["solver"]["optimize_members"] = 6
+    path = _write(tmp_path, spec)
+    out = tmp_path / kind
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    if kind == "kuramoto":
+        assert summary["replay_max_residual"] == summary["max_residual"]
+        assert summary["replay_final_residual"] == summary["final_residual"]
+        return
+    assert np.isfinite(summary["replay_max_residual"])
+    assert np.isfinite(summary["replay_final_residual"])
+    scn = load_scenario(path)
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    ref = scn.build_reference(scn.build_grid(6), rows[:, 0])
+    d = moment_metric_values(member_moments(rows[:, 1:], scn.build_grid(), scn.basis, scn.q),
+                             ref.value(rows[:, 0]))
+    assert summary["replay_max_residual"] == float(np.max(d))
+    assert summary["replay_final_residual"] == float(d[-1])
+    assert summary["replay_final_residual"] != summary["final_residual"]
+
+
 @pytest.mark.parametrize("name", ["max_residual", "boundary_residual", "final_order_parameter",
                                   "cost"])
 def test_track_exact_threshold_violation_exits_4(tmp_path, name):

@@ -592,6 +592,52 @@ def test_shooting_adjoint_gradient_matches_central_differences(kind):
     np.testing.assert_allclose(adjoint, central, rtol=0, atol=1e-6 * np.abs(central).max())
 
 
+def test_shooting_objective_through_one_record_equals_fresh_records():
+    # u_a, u_b, u_a through one record: each forward run overwrites what the
+    # previous pullback read, so nothing of one evaluation leaks into the next
+    from momentsteer.ensembles import _adjoint_record
+    from momentsteer.tracking import _shooting_objective
+
+    model, g, x0, basis, q, ref = _shooting_case("kuramoto")
+    n_int = ref.time_grid.size - 1
+    m_ref = ref.value(ref.time_grid)
+    u_a, u_b = np.random.default_rng(5).uniform(-1.0, 1.0, (2, n_int, 1))
+    record = _adjoint_record(model, g, n_int, 10)
+    for u in (u_a, u_b, u_a):
+        J, grad, mom = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0,
+                                           1.0 / n_int / 10, 1e-3, record)
+        J0, grad0, mom0 = _shooting_objective(model, g, x0, basis, q, m_ref, u, 1.0,
+                                              1.0 / n_int / 10, 1e-3)
+        assert J == J0
+        assert grad.tobytes() == grad0.tobytes()
+        assert mom.tobytes() == mom0.tobytes()
+
+
+def test_direct_shooting_allocates_one_record_and_drops_it(monkeypatch):
+    # one record serves every evaluation of a run, and no reference to it
+    # survives the return, so the caller's replay does not hold it resident
+    import weakref
+
+    from momentsteer import ensembles, tracking
+
+    blocks = []
+    allocate = ensembles._adjoint_record
+
+    def tracked(*args):
+        record = allocate(*args)
+        blocks.extend(weakref.ref(block) for block in record)
+        return record
+
+    monkeypatch.setattr(ensembles, "_adjoint_record", tracked)
+    monkeypatch.setattr(tracking, "_adjoint_record", tracked)
+    model, g, x0, basis, q, ref = _shooting_case("kuramoto")
+    res = direct_shooting(model, g, x0, ref, n_intervals=ref.time_grid.size - 1,
+                          iterations=3)
+    assert res.info["evaluations"] > 1
+    assert len(blocks) == 3
+    assert all(block() is None for block in blocks)
+
+
 def test_shooting_gradient_finite_with_members_and_gaps_at_zero():
     # members exactly at 0 (no x^-1 term) and a d_M component exactly at zero
     # (the subgradient 0 is taken there): the gradient stays finite

@@ -21,7 +21,11 @@ Each entry is the last output line of one run (its JSON result), or an
 so a cut series keeps what it measured.  The summary gives, per workload and
 end-to-end metric, both sides' medians and interquartile ranges (quartiles by
 ``statistics.quantiles(method="inclusive")``) and the pairs in which the change
-read better in the metric's direction.  Standard library only.
+read better in the metric's direction, and two verdicts: ``gain`` (the change
+won at least 9/10 of the pairs and its median beats the parent's by more than
+the parent's IQR) and ``within_bound`` (the change median is no worse than the
+parent's by more than the metric's relative ``bound`` in ``BENCHMARK.json``).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -92,7 +96,14 @@ def _iqr(values: list) -> float:
 
 
 def summarize(runs: dict, metrics: list) -> dict:
-    """Medians, IQRs and change wins of one workload's pairs."""
+    """Medians, IQRs, change wins and the verdicts of one workload's pairs.
+
+    ``metrics`` holds (name, better, bound) triples.  ``gain``: the change
+    won at least nine tenths of the pairs (ties count for neither side) and
+    its median is better than the parent's by more than the parent's IQR.
+    ``within_bound``: the change median is worse than the parent's by at most
+    ``bound`` times the parent median's magnitude; None where no bound is
+    declared."""
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
              if "error" not in p and "error" not in c]
     out = {}
@@ -102,16 +113,23 @@ def summarize(runs: dict, metrics: list) -> dict:
             return value(result, "setup_s") + value(result, "pipeline_s")
         return result["metrics"][name]["value"]
 
-    for name, better in metrics + [("setup_plus_pipeline_s", "lower")]:
+    for name, better, bound in metrics + [("setup_plus_pipeline_s", "lower", None)]:
         par = [value(p, name) for p, _ in pairs]
         chg = [value(c, name) for _, c in pairs]
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(par, chg))
+        sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: change better
+        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+        med_p = statistics.median(par) if par else None
+        med_c = statistics.median(chg) if chg else None
         out[name] = {
-            "parent_median": statistics.median(par) if par else None,
-            "change_median": statistics.median(chg) if chg else None,
+            "parent_median": med_p,
+            "change_median": med_c,
             "parent_iqr": _iqr(par),
             "change_iqr": _iqr(chg),
             "change_wins": f"{wins}/{len(pairs)}",
+            "gain": bool(pairs) and 10 * wins >= 9 * len(pairs)
+                    and sign * (med_p - med_c) > _iqr(par),
+            "within_bound": (None if bound is None or not pairs
+                             else sign * (med_c - med_p) <= bound * abs(med_p)),
         }
     for side in SIDES:
         good = [r for r in runs[side] if "error" not in r]
@@ -152,7 +170,7 @@ def main(argv=None) -> int:
     for side in SIDES:
         _extract(shas[side], roots[side])
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m.get("bound")) for m in spec["end_to_end"]]
     command = "python3 bench/run.py --workload W --seed {} --seconds {:g} --trace {}"
 
     record = {
@@ -172,8 +190,11 @@ def main(argv=None) -> int:
             f"{', '.join(workloads)}; the parent runs first in odd-numbered pairs and the "
             "change first in even-numbered ones; each entry is the last output line of one "
             "run; summary gives medians, interquartile ranges (inclusive quartiles), the pairs "
-            "in which the change read better in the metric's direction, and "
-            "setup_s + pipeline_s per op" + (f"; {args.note}" if args.note else "")),
+            "in which the change read better in the metric's direction, the verdicts gain "
+            "(change wins >= 9/10 of the pairs, ties counting for neither, and the medians "
+            "differ by more than the parent's IQR in the better direction) and within_bound "
+            "(change median no worse than the parent's by more than the metric's relative "
+            "bound in BENCHMARK.json), and setup_s + pipeline_s per op" + (f"; {args.note}" if args.note else "")),
         "workloads": {},
         "summary": {},
     }
