@@ -193,20 +193,22 @@ def _field(model, grid: ParameterGrid, record=None):
         return lambda x, drive, out: np.add(nodes * x, drive, out=out)
     K, w = model.coupling, grid.weights
     scratch = np.empty(grid.size)
+    kzi, dkzr = np.empty(()), np.empty(())  # 0-d operands: see _simulate_segments_batch
     # without a record, cos x, sin x and the sums go to one reused scratch row each
     rows = zip(*record) if record else itertools.repeat(
         (np.empty(grid.size), np.empty(grid.size), np.empty(2)))
 
     def kuramoto(x, drive, out):
         c, s, z = next(rows)
-        np.cos(x, out=c)
-        np.sin(x, out=s)
+        np.cos(x, c)
+        np.sin(x, s)
         zr, zi = float(c.dot(w)), float(s.dot(w))  # ndarray.dot: the ddot of @, called faster
         z[0], z[1] = zr, zi
         k = K / max(math.hypot(zr, zi), 1.0)
+        kzi[()], dkzr[()] = k * zi, drive - k * zr
         # nodes + (k zi) c + (drive - k zr) s, summed in that order
-        np.add(nodes, np.multiply(c, k * zi, out=out), out=out)
-        return np.add(out, np.multiply(s, drive - k * zr, out=scratch), out=out)
+        np.add(nodes, np.multiply(c, kzi, out), out)
+        return np.add(out, np.multiply(s, dkzr, scratch), out)
 
     return kuramoto
 
@@ -245,18 +247,20 @@ def _rk4_adjoint(model: Kuramoto, grid: ParameterGrid, record, drives, per: int,
     K, Kw = model.coupling, model.coupling * grid.weights
     n = grid.size
     # stage cotangents b1..b4, the stage input y, dt/6 and dt/3 of xbar, and
-    # the sweep's temporaries, each written in place
+    # the sweep's temporaries, each written in place; scalars as 0-d operands
     b1, b2, b3, b4, y, x6, x3, t, t2 = np.empty((9, n))
     diag, diag2 = np.empty((2, 4 * per, n))
+    bc, bs = np.empty(()), np.empty(())
+    sixth, third, whole, half = map(np.array, (dt / 6, dt / 3, dt, dt / 2))
 
     def vjp(i, b, out):  # stage i of the segment whose Cs, Ss and diag the loop below holds
         c, s = Cs[i], Ss[i]
-        bc, bs = float(b.dot(c)), float(b.dot(s))
+        bc[()], bs[()] = b.dot(c), b.dot(s)
         # b diag + Kw (bc c + bs s)
-        np.add(np.multiply(c, bc, out=t), np.multiply(s, bs, out=t2), out=t)
-        np.multiply(Kw, t, out=t)
-        np.add(np.multiply(b, diag[i], out=out), t, out=out)
-        return bs
+        np.add(np.multiply(c, bc, t), np.multiply(s, bs, t2), t)
+        np.multiply(Kw, t, t)
+        np.add(np.multiply(b, diag[i], out), t, out)
+        return float(bs)
 
     xbar = seeds[-1].copy()
     dbar = np.zeros_like(drives)
@@ -267,16 +271,16 @@ def _rk4_adjoint(model: Kuramoto, grid: ParameterGrid, record, drives, per: int,
         np.multiply(drives[seg] - K * Z[rows, :1], Cs, out=diag)
         np.subtract(diag, np.multiply(K * Z[rows, 1:], Ss, out=diag2), out=diag)
         for i in range(4 * per - 4, -1, -4):  # the step's first stage
-            np.multiply(xbar, dt / 6, out=x6)
-            np.multiply(xbar, dt / 3, out=x3)
+            np.multiply(xbar, sixth, x6)
+            np.multiply(xbar, third, x3)
             g4 = vjp(i + 3, x6, b4)
-            g3 = vjp(i + 2, np.add(x3, np.multiply(b4, dt, out=y), out=y), b3)
-            g2 = vjp(i + 1, np.add(x3, np.multiply(b3, dt / 2, out=y), out=y), b2)
-            g1 = vjp(i, np.add(x6, np.multiply(b2, dt / 2, out=y), out=y), b1)
+            g3 = vjp(i + 2, np.add(x3, np.multiply(b4, whole, y), y), b3)
+            g2 = vjp(i + 1, np.add(x3, np.multiply(b3, half, y), y), b2)
+            g1 = vjp(i, np.add(x6, np.multiply(b2, half, y), y), b1)
             for b in (b1, b2, b3, b4):
-                np.add(xbar, b, out=xbar)
+                np.add(xbar, b, xbar)
             dbar[seg] += g1 + g2 + g3 + g4
-        np.add(xbar, seeds[seg], out=xbar)
+        np.add(xbar, seeds[seg], xbar)
     return dbar
 
 
@@ -359,21 +363,24 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
             return Rp * x + S * drive
     else:
         f = _field(model, grid, record)
-        # the stage derivatives, the stage input or step sum y, and the state
+        # the stage derivatives, the stage input or step sum y, and the state;
+        # every op writes to its last, positional argument, and scalar operands
+        # are 0-d arrays: NumPy converts a Python float operand on every call,
+        # half the cost of an op on 200 members
         k1, k2, k3, k4, y, state = np.empty((6, grid.size))
-        two_pi = 2 * np.pi
+        half, whole, sixth, two, two_pi = map(np.array, (dt / 2, dt, dt / 6, 2.0, 2 * np.pi))
 
         def advance(x, drive):
             for _ in range(per):
                 f(x, drive, k1)
-                f(np.add(x, np.multiply(k1, dt / 2, out=y), out=y), drive, k2)
-                f(np.add(x, np.multiply(k2, dt / 2, out=y), out=y), drive, k3)
-                f(np.add(x, np.multiply(k3, dt, out=y), out=y), drive, k4)
+                f(np.add(x, np.multiply(k1, half, y), y), drive, k2)
+                f(np.add(x, np.multiply(k2, half, y), y), drive, k3)
+                f(np.add(x, np.multiply(k3, whole, y), y), drive, k4)
                 # x + dt/6 (((k1 + 2 k2) + 2 k3) + k4), wrapped
-                np.add(k1, np.multiply(k2, 2, out=y), out=y)
-                np.add(y, np.multiply(k3, 2, out=k3), out=y)
-                np.multiply(np.add(y, k4, out=y), dt / 6, out=y)
-                x = np.mod(np.add(x, y, out=y), two_pi, out=state)
+                np.add(k1, np.multiply(k2, two, y), y)
+                np.add(y, np.multiply(k3, two, k3), y)
+                np.multiply(np.add(y, k4, y), sixth, y)
+                x = np.mod(np.add(x, y, y), two_pi, state)
             return x
 
     drive_of = _drive(model, grid)
