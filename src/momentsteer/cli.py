@@ -30,10 +30,10 @@ from .measures import (
 from .moments import (
     FOURIER,
     MONOMIAL_PARAM,
+    _power_sums,
     member_moments,
     moment_metric_values,
     moments_density,
-    moments_fourier,
     moments_output,
 )
 from .moment_systems import build_linear_moment_system
@@ -268,9 +268,11 @@ def _target_moments(basis: str, target, q: int) -> np.ndarray:
     """Moments m_0..m_q of the scenario target in ``basis``: a phase
     ensemble's angle as a point mass on the circle, atoms by their power
     sums, a density by quadrature (over the parameter for labeled runs, over
-    the output otherwise: the same integral)."""
+    the output otherwise: the same integral).  The angle is wrapped with no
+    range check: ``target % (2 pi)`` rounds to 2 pi itself for a target just
+    below 0."""
     if basis == FOURIER:
-        return moments_fourier(EmpiricalMeasure([target % (2 * np.pi)], [1.0]), q).values
+        return _power_sums(np.array([target % (2 * np.pi)]), np.ones(1), q, trig=True)
     if isinstance(target, EmpiricalMeasure):
         return moments_output(target, q).values
     return moments_density(target, q).values

@@ -10,7 +10,10 @@ function, :func:`_simulate_segments_batch`.  The linear family takes each
 control segment in closed form, as the exact transfer of its RK4 steps
 (:func:`_linear_transfer`); Kuramoto takes its RK4 steps stage by stage, and
 for the adjoint records each stage's cos x, sin x and mean-field sums, from
-which the reverse sweep (:func:`_rk4_adjoint`) runs with no trig.
+which the reverse sweep (:func:`_rk4_adjoint`) runs with no trig.  The
+discrete adjoint of a forward run, from the cotangents of its boundary states
+to that of its control, is :func:`_segments_pullback`; it runs no forward
+pass of its own.
 """
 
 from __future__ import annotations
@@ -417,36 +420,22 @@ def _adjoint_record(model, grid: ParameterGrid, n_intervals: int, per: int):
             np.empty((n_stages, 2)))
 
 
-def _segments_vjp(model, grid: ParameterGrid, x0, u, horizon: float, dt: float, *,
-                  record=None):
-    """Forward run of one control ``u`` (n_intervals, p); returns the boundary
-    states (n_intervals + 1, n) and the pullback mapping their cotangents to
-    that of ``u``.  The linear family's pullback is the transposed segment
-    transfer: the drive of segment s gets S times the cotangent of boundary
-    s + 1, which then passes back through Rp.  Kuramoto's run fills
-    ``record`` (from :func:`_adjoint_record`, allocated here when none is
-    passed), and :func:`_rk4_adjoint` sweeps back from that record alone; the
-    pullback must run before the record's next forward run."""
-    per = _steps_per_interval(horizon / u.shape[0], dt)
+def _segments_pullback(model, grid: ParameterGrid, u, per: int, dt: float, record, seeds):
+    """Cotangent of the control ``u`` (n_intervals, p) of a forward run of
+    :func:`_simulate_segments_batch` at ``per`` steps of ``dt`` per segment,
+    from the cotangents ``seeds`` of its boundary states (n_intervals + 1, n).
+    The linear family's pullback is the transposed segment transfer: the
+    drive of segment s gets S times the cotangent of boundary s + 1, which
+    then passes back through Rp.  Kuramoto's is :func:`_rk4_adjoint`, which
+    reads ``record`` (see :func:`_adjoint_record`) as that run filled it, so
+    it must run before the record's next forward run."""
     if isinstance(model, LinearScalar):
-        bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt)[0]
         Rp, S = _linear_transfer(grid, per, dt)
-
-        def pullback(seeds):
-            xbar = seeds[-1]
-            dbar = np.empty((u.shape[0], grid.size))
-            for seg in range(u.shape[0] - 1, -1, -1):
-                dbar[seg] = S * xbar
-                xbar = Rp * xbar + seeds[seg]
-            return dbar @ _profile(model, grid).T
-
-        return bounds, pullback
-    if record is None:
-        record = _adjoint_record(model, grid, u.shape[0], per)
-    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, record=record)[0]
-
-    def pullback(seeds):
-        # Kuramoto's drive is u_1, its one control column
-        return _rk4_adjoint(model, grid, record, u[:, 0], per, dt, seeds)[:, None]
-
-    return bounds, pullback
+        xbar = seeds[-1]
+        dbar = np.empty((u.shape[0], grid.size))
+        for seg in range(u.shape[0] - 1, -1, -1):
+            dbar[seg] = S * xbar
+            xbar = Rp * xbar + seeds[seg]
+        return dbar @ _profile(model, grid).T
+    # Kuramoto's drive is u_1, its one control column
+    return _rk4_adjoint(model, grid, record, u[:, 0], per, dt, seeds)[:, None]

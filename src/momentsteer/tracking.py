@@ -23,8 +23,8 @@ from .ensembles import (
     LinearScalar,
     ParameterGrid,
     _adjoint_record,
-    _segments_vjp,
-    _simulate_segments_batch,  # noqa: F401  bench/tracing.py wraps the loop under this name
+    _segments_pullback,
+    _simulate_segments_batch,
     _steps_per_interval,
 )
 from .errors import ConfigError, SolverError, SolverWarning
@@ -358,7 +358,7 @@ def tpbvp_optimality_gap(
     z0 = np.concatenate([setup.m_start, result.info["lambda_trace"][0]])
     z_fine = _rk4_affine(_hamiltonian_matrix(sys, setup.R), z0, f_q, dt_v / 2)
     u_nom = -0.5 * np.linalg.solve(setup.R, sys.H.T @ z_fine[:, n:].T).T  # (2*n_steps+1, p)
-    m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
+    m_ref = f_q[::4, n:] / 2  # m* at k dt_v, row 4k of the forcing: 4k (dt_v / 4) = k dt_v
     e = _rk4_affine(sys.L, setup.m_start, u_nom @ sys.H.T, dt_v) - m_ref
 
     # every stage of a step uses the step's owning segment (zero-order hold)
@@ -388,16 +388,21 @@ def tpbvp_optimality_gap(
 def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight,
                         record=None):
     """The discrete shooting objective at the control ``u`` (n_intervals, p)
-    and its exact gradient: one forward RK4 run (for Kuramoto it fills
-    ``record`` with every stage's cos x, sin x and mean-field sums; see
-    :func:`_segments_vjp`), the cotangents of the boundary moments through
-    d_M and the trapezoid weights, then one reverse sweep through the same
-    segments, which reads the record before this call returns.  Returns
-    ``(J, g, mom)`` with the boundary moments ``mom`` of that run; a
-    non-finite forward run, cost or gradient raises :class:`SolverError`."""
+    and its exact gradient: one forward RK4 run of
+    :func:`_simulate_segments_batch` (for Kuramoto it fills ``record``, from
+    :func:`_adjoint_record`, allocated here when none is passed, with every
+    stage's cos x, sin x and mean-field sums), the cotangents of the boundary
+    moments through d_M and the trapezoid weights, then one reverse sweep
+    through the same segments (:func:`_segments_pullback`), which reads the
+    record before this call returns.  Returns ``(J, g, mom)`` with the
+    boundary moments ``mom`` of that run; a non-finite forward run, cost or
+    gradient raises :class:`SolverError`."""
     n_int = u.shape[0]
     h = horizon / n_int
-    bounds, pullback = _segments_vjp(model, grid, x0, u, horizon, dt, record=record)
+    per = _steps_per_interval(h, dt)
+    if record is None:
+        record = _adjoint_record(model, grid, n_int, per)
+    bounds = _simulate_segments_batch(model, x0, grid, u[None], horizon, dt, record=record)[0]
     trap = np.full(n_int + 1, h)
     trap[[0, -1]] = h / 2
     mom = member_moments(bounds, grid, basis, q)
@@ -407,7 +412,8 @@ def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy
     if not np.isfinite(J):
         raise SolverError("non-finite shooting cost")
     mbar = trap[:, None] * _metric_vjp(mom, m_ref)
-    g = pullback(_member_moments_vjp(bounds, grid, basis, q, mbar)) + 2 * energy_weight * h * u
+    seeds = _member_moments_vjp(bounds, grid, basis, q, mbar)
+    g = _segments_pullback(model, grid, u, per, dt, record, seeds) + 2 * energy_weight * h * u
     if not np.all(np.isfinite(g)):
         raise SolverError("non-finite shooting gradient")
     return J, g, mom

@@ -24,7 +24,7 @@ from momentsteer import (  # noqa: E402
     simulate,
 )
 from momentsteer.ensembles import (  # noqa: E402
-    _field, _segments_vjp, _simulate_segments_batch)
+    _adjoint_record, _field, _segments_pullback, _simulate_segments_batch)
 from momentsteer.moment_systems import _rk4_affine  # noqa: E402
 from momentsteer.tracking import _shooting_objective  # noqa: E402
 from momentsteer.transport import _path_coefficients, _path_moments  # noqa: E402
@@ -199,11 +199,30 @@ def test_kuramoto_field_and_vjp_match_complex_form(phases, half, n_int, per, see
     # from stage inputs, with the run starting at x
     dt = 1.0 / n_int / per
     u = rng.standard_normal((n_int, 1))
-    bounds, pullback = _segments_vjp(model, g, x, u, 1.0, dt)
+    record = _adjoint_record(model, g, n_int, per)
+    bounds = _simulate_segments_batch(model, x, g, u[None], 1.0, dt, record=record)[0]
     seeds = rng.standard_normal(bounds.shape)
     want = _stage_by_stage_sweep(K, g, x, u[:, 0], per, dt, seeds)
-    np.testing.assert_allclose(pullback(seeds)[:, 0], want, rtol=0,
-                               atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(_segments_pullback(model, g, u, per, dt, record, seeds)[:, 0],
+                               want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@PROPERTY
+@given(members=st.integers(2, 12), inputs=st.integers(1, 3), n_int=st.integers(1, 5),
+       per=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_linear_pullback_is_the_adjoint_of_the_forward_map(members, inputs, n_int, per, seed):
+    # from x0 = 0 the linear family's boundary states F(u) are linear in u,
+    # so the pullback must satisfy <s, F(du)> = <pullback(s), du>
+    rng = np.random.default_rng(seed)
+    model, g = LinearScalar(inputs), make_uniform_grid(members, -1.0, 1.0)
+    dt = 1.0 / n_int / per
+    du = rng.standard_normal((n_int, inputs))
+    seeds = rng.standard_normal((n_int + 1, members))
+    forward = _simulate_segments_batch(model, np.zeros(members), g, du[None], 1.0, dt)[0]
+    pulled = _segments_pullback(model, g, du, per, dt, None, seeds)
+    lhs, rhs = np.sum(seeds * forward), np.sum(pulled * du)
+    # relative to the terms' magnitude, as the sums may cancel
+    assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(seeds * forward))
 
 
 def _stage_rk4(A, z0, forcing_half, dt, dtype, hold, per):

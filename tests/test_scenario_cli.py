@@ -616,6 +616,24 @@ def test_track_kuramoto_smoke_then_validate(tmp_path):
                                                   moments_fourier(point, 6).values)
 
 
+def test_kuramoto_target_just_below_zero_validates(tmp_path):
+    # -1e-17 mod 2 pi rounds to 2 pi itself, outside [0, 2 pi); the target's
+    # moments are still those of the angle, and equal 0's up to rounding
+    spec = _kuramoto_scenario(grid={"members": 8, "lo": -1.0, "hi": 1.0},
+                              target={"kind": "point_mass", "value": -1e-17},
+                              solver={"method": "shooting", "intervals": 8, "iterations": 3})
+    path = _write(tmp_path, spec)
+    out = tmp_path / "below_zero"
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
+    d_m = json.loads((out / "validation.json").read_text())["d_m"]
+    at_zero = _write(tmp_path, {**spec, "target": {"kind": "point_mass", "value": 0.0}},
+                     "at_zero.json")
+    assert main(["validate", "--scenario", str(at_zero), "--out", str(out)]) == 0
+    assert d_m == pytest.approx(json.loads((out / "validation.json").read_text())["d_m"],
+                                rel=0, abs=1e-14)
+
+
 def test_validate_exact_final_equals_target(tmp_path):
     spec = _linear_sim_scenario(
         horizon=0.0,

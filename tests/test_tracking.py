@@ -638,6 +638,26 @@ def test_direct_shooting_allocates_one_record_and_drops_it(monkeypatch):
     assert all(block() is None for block in blocks)
 
 
+def test_shooting_objective_makes_one_forward_call_per_evaluation(monkeypatch):
+    # the objective runs its forward pass itself, through tracking's binding
+    # of the one forward function, once per evaluation
+    from momentsteer import tracking
+
+    calls = []
+    forward = tracking._simulate_segments_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].shape)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(tracking, "_simulate_segments_batch", counted)
+    model, g, x0, basis, q, ref = _shooting_case("kuramoto")
+    n_int = ref.time_grid.size - 1
+    res = direct_shooting(model, g, x0, ref, n_intervals=n_int, iterations=3)
+    assert res.info["evaluations"] > 1
+    assert calls == [(1, n_int, 1)] * res.info["evaluations"]
+
+
 def test_shooting_gradient_finite_with_members_and_gaps_at_zero():
     # members exactly at 0 (no x^-1 term) and a d_M component exactly at zero
     # (the subgradient 0 is taken there): the gradient stays finite
