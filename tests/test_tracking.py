@@ -628,7 +628,6 @@ def test_direct_shooting_allocates_one_record_and_drops_it(monkeypatch):
         blocks.extend(weakref.ref(block) for block in record)
         return record
 
-    monkeypatch.setattr(ensembles, "_adjoint_record", tracked)
     monkeypatch.setattr(tracking, "_adjoint_record", tracked)
     model, g, x0, basis, q, ref = _shooting_case("kuramoto")
     res = direct_shooting(model, g, x0, ref, n_intervals=ref.time_grid.size - 1,
