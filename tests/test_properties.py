@@ -129,6 +129,29 @@ def test_linear_closed_form_transfer_matches_stage_by_stage(members, batch, n_in
         np.testing.assert_allclose(rows[b], want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
+@PROPERTY
+@given(members=st.integers(1, 30), n_int=st.integers(1, 6), per=st.integers(1, 10),
+       inputs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_linear_member_peaks_on_interval_boundaries(members, n_int, per, inputs, seed):
+    # one RK4 step with a held drive is x -> R x + dt P d, and R > 0 for every
+    # real z = dt beta, so a member moves monotonically within a control
+    # interval: the largest |x| over its steps is at one of its two ends
+    rng = np.random.default_rng(seed)
+    horizon = rng.uniform(0.1, 2.0)
+    dt = horizon / n_int / per
+    # rates of both signs with |dt beta| up to 2, always with beta = 0 among them
+    beta = np.unique(np.concatenate([[0.0], rng.uniform(-2.0, 2.0, members) / dt]))
+    g = ParameterGrid(beta, np.full(beta.size, 1.0 / beta.size))
+    control = ControlSignal(np.linspace(0.0, horizon, n_int + 1),
+                            rng.standard_normal((n_int, inputs)))
+    x = np.abs(simulate(LinearScalar(inputs), rng.standard_normal(beta.size), g, control,
+                        dt).states)
+    for seg in range(n_int):
+        steps = x[seg * per:(seg + 1) * per + 1]
+        np.testing.assert_allclose(steps.max(axis=0), np.maximum(steps[0], steps[-1]),
+                                   rtol=1e-12, atol=0)
+
+
 def _complex_field(K, g, x, drive):
     """The Kuramoto right-hand side in its complex-exponential form."""
     z = np.sum(g.weights * np.exp(1j * x))

@@ -166,8 +166,8 @@ def test_track_exact_full_row_rank_meets_tolerance(tmp_path):
 
 
 def _replay_from_control_csv(path, out):
-    """The full-resolution replay of the control that ``track`` wrote to
-    ``out``, rebuilt from control.csv alone, and the control's start times."""
+    """The every-step replay of the control that ``track`` wrote to ``out``,
+    rebuilt from control.csv alone with ``simulate``, and that control."""
     from momentsteer import ControlSignal, simulate
 
     scn = load_scenario(path)
@@ -175,7 +175,7 @@ def _replay_from_control_csv(path, out):
     rows = np.loadtxt(out / "control.csv", delimiter=",", skiprows=1, ndmin=2)
     control = ControlSignal(np.append(rows[:, 0], scn.horizon), rows[:, 1:])
     replay = simulate(scn.build_model(), scn.initial_state(grid), grid, control, scn.dt)
-    return replay, rows[:, 0]
+    return replay, control
 
 
 def test_trajectory_csv_round_trip_is_exact(tmp_path):
@@ -203,28 +203,36 @@ def _small_shooting_scenario():
 
 
 def test_shooting_trajectory_csv_on_control_grid(tmp_path):
-    # track writes one row per control-interval boundary: the instants of
-    # control.csv plus T, sampled from the dt replay
+    # track writes one row per control-interval boundary, from the forward
+    # run the optimizer uses, on the control's own intervals: the t column is
+    # the instants of control.csv plus T, and the linear family's rows, taken
+    # by the exact segment transfer, are simulate's every per-th state up to
+    # rounding
+    from momentsteer.ensembles import _simulate_segments_batch
+
     path = _write(tmp_path, _small_shooting_scenario())
     out = tmp_path / "grid"
     assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
-    replay, starts = _replay_from_control_csv(path, out)
-    per = 25
-    assert replay.states.shape[0] == 4 * per + 1
+    replay, control = _replay_from_control_csv(path, out)
+    scn = load_scenario(path)
+    grid = scn.build_grid()
+    forward = _simulate_segments_batch(scn.build_model(), scn.initial_state(grid), grid,
+                                       control.values[None], scn.horizon, scn.dt)[0]
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert rows.shape == (4 + 1, 1 + 16)
-    assert rows[:, 0].tobytes() == replay.times[::per].tobytes()
-    np.testing.assert_allclose(rows[:, 0], np.append(starts, 1.0), rtol=0, atol=1e-12)
-    assert rows[:, 1:].tobytes() == replay.states[::per].tobytes()
-    assert rows[-1, 1:].tobytes() == replay.states[-1].tobytes()
+    assert rows[:, 0].tobytes() == control.time_grid.tobytes()
+    assert rows[:, 1:].tobytes() == forward.tobytes()
+    per = 25
+    assert replay.states.shape[0] == 4 * per + 1
+    np.testing.assert_allclose(rows[:, 1:], replay.states[::per], rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["linear", "kuramoto"])
-def test_replay_summary_is_full_resolution(tmp_path, kind):
-    # replay_max_abs_state (and the Kuramoto final_order_parameter) come from
-    # every dt step of the replay, not from the rows of trajectory.csv.  A
-    # linear member is monotone within an interval, so its peak is on a row;
-    # only the Kuramoto case tells the two maxima apart
+def test_replay_max_abs_state_is_the_row_maximum(tmp_path, kind):
+    # replay_max_abs_state is the largest |x| over the rows of trajectory.csv.
+    # A linear member moves monotonically within an interval (one RK4 step is
+    # x -> R x + dt P d with R > 0), so that is also the every-step maximum of
+    # the dt replay; Kuramoto phases are wrapped below 2 pi after every step
     from momentsteer.ensembles import mean_field
 
     spec = (_small_shooting_scenario() if kind == "linear" else
@@ -233,26 +241,33 @@ def test_replay_summary_is_full_resolution(tmp_path, kind):
     out = tmp_path / kind
     assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert summary["replay_max_abs_state"] == float(np.max(np.abs(rows[:, 1:])))
     replay, _ = _replay_from_control_csv(path, out)
-    assert summary["replay_max_abs_state"] == float(np.max(np.abs(replay.states)))
-    if kind == "kuramoto":
+    if kind == "linear":
+        assert summary["replay_max_abs_state"] == pytest.approx(
+            float(np.max(np.abs(replay.states))), rel=1e-10, abs=0)
+    else:
+        assert summary["replay_max_abs_state"] < 2 * np.pi
         r_final, _ = mean_field(replay.states[-1], replay.grid)
         assert summary["final_order_parameter"] == float(r_final)
-        # the wrapped phases peak between the written rows, so the check has teeth
-        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
-        assert np.max(np.abs(rows[:, 1:])) < summary["replay_max_abs_state"]
 
 
-@pytest.mark.parametrize("kind", ["kuramoto", "linear"])
+@pytest.mark.parametrize("kind", ["kuramoto", "linear", "linear_same_grid"])
 def test_replay_residuals_describe_the_replay(tmp_path, kind):
-    # the Kuramoto optimizer runs on the replay's grid and dt, so its recorded,
-    # buffered forward run and the record-less replay must be one arithmetic;
+    # when the optimizer runs on the replay's grid and dt, the replay is its
+    # forward run, one arithmetic for both families (Kuramoto's recorded,
+    # buffered run and the record-less replay; the linear family's segment
+    # transfer at the default optimize_dt, a tenth of the control interval);
     # with fewer optimizer members the replay keys are d_M of the written rows
     from momentsteer import member_moments, moment_metric_values
 
     if kind == "kuramoto":
         spec = _kuramoto_scenario(solver={"method": "shooting", "intervals": 8,
                                           "iterations": 3, "optimize_dt": 2.5e-3})
+    elif kind == "linear_same_grid":
+        spec = _small_shooting_scenario()
+        spec["dt"] = 0.025
     else:
         spec = _small_shooting_scenario()
         spec["solver"]["optimize_members"] = 6
@@ -260,7 +275,7 @@ def test_replay_residuals_describe_the_replay(tmp_path, kind):
     out = tmp_path / kind
     assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    if kind == "kuramoto":
+    if kind != "linear":
         assert summary["replay_max_residual"] == summary["max_residual"]
         assert summary["replay_final_residual"] == summary["final_residual"]
         return
@@ -765,6 +780,19 @@ def test_validate_clipped_mass_independent_of_member_count(tmp_path):
         masses.append(json.loads((out / "validation.json").read_text())["clipped_negative_mass"])
     assert abs(masses[0] - masses[1]) <= 1e-3
     assert abs(masses[1] - 1 / np.pi) <= 1e-3
+
+
+def test_validate_labeled_run_draws_no_samples(tmp_path, monkeypatch):
+    # a labeled run's W2 is a quadrature: validate creates no random generator
+    def no_rng(*args, **kwargs):
+        raise AssertionError("validate created a random generator")
+
+    path = _write(tmp_path, _case_one_track_scenario(p=1, q=4))
+    out = tmp_path / "labeled"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert "w2" in json.loads((out / "validation.json").read_text())
 
 
 def test_validate_seeded_sampling_reproducible(tmp_path):
