@@ -59,4 +59,4 @@ print(f"peak input amplitude: {np.abs(res.control.values).max():.1f}")
 print(f"ODE defect against the exact solution (scaled): "
       f"{tpbvp_ode_residual(sys_, ref, setup, res):.1e}")
 gap = tpbvp_optimality_gap(sys_, ref, setup, res)
-print(f"first-order optimality gap over random variations: {gap:.1e}")
+print(f"first-order optimality gap over endpoint-preserving variations: {gap:.1e}")

@@ -570,6 +570,25 @@ def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
     assert "boundary matching matrix is singular" in capsys.readouterr().err
 
 
+def test_track_tpbvp_overflow_exits_3_naming_the_run(tmp_path):
+    # R = 1e-300 I is a valid weight, but R^-1 overflows the longdouble
+    # state/costate runs: the failure names the run and the instant, with no
+    # NumPy warning and no LAPACK message from an SVD of non-finite entries.
+    # A subprocess, because LAPACK writes to the C-level stdout
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "scenarios" / "labeled_fixed_endpoint.json").read_text())
+    spec["solver"]["r_scale"] = 1e-300
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "momentsteer.cli", "track", "--scenario",
+                           str(_write(tmp_path, spec)), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 3
+    assert "solver failure: non-finite particular state/costate run at t=" in proc.stderr
+    output = proc.stdout + proc.stderr
+    assert "illegal value" not in output and "RuntimeWarning" not in output
+
+
 def test_track_reference_moment_overflow_exits_3(tmp_path, capsys):
     # order-16 powers of atoms at 1e30 overflow while the transport reference
     # is built: the failure names the order, and no RuntimeWarning reports it
@@ -888,3 +907,26 @@ def test_cli_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == {"import": [], **{path: [0, 0] for path in scenarios}}
+
+
+def test_labeled_runs_load_no_numpy_random(tmp_path):
+    # a labeled track + validate, the optimality gap included, needs no
+    # random numbers; importing numpy.random alone adds about 5 MB resident.
+    # A subprocess, because patching np.random in this one imports it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, json, momentsteer.cli as cli\n"
+        "codes = [cli.main([cmd, '--scenario', path, '--out', f'{sys.argv[1]}/{i}'])\n"
+        "         for i, path in enumerate(sys.argv[2:]) for cmd in ('track', 'validate')]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    scenarios = [str(root / "scenarios" / f"labeled_{name}.json")
+                 for name in ("fixed_endpoint", "exact")]
+    assert json.loads((root / "scenarios" / "labeled_fixed_endpoint.json").read_text()
+                      )["solver"]["verify"] is True
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *scenarios], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0, 0, 0], False]

@@ -348,9 +348,14 @@ def test_tpbvp_optimality_gap_names_the_solver_step():
 
 
 def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0):
-    """The gap by brute force: the endpoint map from one run per unit hold
-    (segment, channel), and each directional derivative as the central
-    difference (J(u + du) - J(u - du)) / 2 of costs from one batch of runs."""
+    """The gap by brute force, as ``(worst, sampled)``.  The endpoint map
+    comes from one run per unit hold (segment, channel), and every cost from
+    one batch of runs.  ``worst`` takes the cost gradient as the central
+    differences (J(u + e_j) - J(u - e_j)) / 2 on every unit hold, exact for a
+    quadratic cost, projects it onto the kernel of the endpoint map and
+    normalizes its L2 norm.  ``sampled`` is the largest central difference
+    over ``n_variations`` seeded random directions in that kernel, which
+    bounds ``worst`` from below."""
     from momentsteer.ensembles import _steps_per_interval
     from momentsteer.moment_systems import _rk4_affine
     from momentsteer.tracking import (PROJECTION_PASSES, VARIATION_INTERVALS,
@@ -377,7 +382,7 @@ def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0):
     for _ in range(PROJECTION_PASSES):
         v = v - np.linalg.lstsq(E @ E.T, E @ v.T, rcond=None)[0].T @ E
     du = v.reshape(n_variations, VARIATION_INTERVALS, p)
-    batch = np.concatenate([np.zeros((1, VARIATION_INTERVALS, p)), du, -du])
+    batch = np.concatenate([np.zeros((1, VARIATION_INTERVALS, p)), basis, -basis, du, -du])
 
     m = _rk4_affine(sys_.L, setup.m_start, drive, dt_v, hold=batch @ sys_.H.T, per=per)
     e = m - m_ref
@@ -386,11 +391,17 @@ def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0):
     useg = u_nom[::2][nodes] + batch[:, :, None, :]
     integrand = np.einsum("bsij,jk,bsik->bsi", useg, setup.R, useg)
     J = track + np.trapezoid(integrand, dx=dt_v, axis=-1).sum(axis=1)
-
     scale = max(1.0, abs(J[0]))
+    J_unit, J_var = J[1 : 2 * nv + 1], J[2 * nv + 1 :]
+
+    g = (J_unit[:nv] - J_unit[nv:]) / 2.0
+    for _ in range(PROJECTION_PASSES):
+        g = g - E.T @ np.linalg.lstsq(E @ E.T, E @ g, rcond=None)[0]
+    worst = float(np.linalg.norm(g) / np.sqrt(horizon / VARIATION_INTERVALS) / scale)
+
     norm_du = np.sqrt(np.sum(du**2, axis=(1, 2)) * horizon / VARIATION_INTERVALS)
-    gaps = np.abs(J[1 : n_variations + 1] - J[n_variations + 1 :]) / 2.0 / (norm_du * scale)
-    return float(np.max(gaps))
+    gaps = np.abs(J_var[:n_variations] - J_var[n_variations:]) / 2.0 / (norm_du * scale)
+    return worst, float(np.max(gaps))
 
 
 def test_tpbvp_optimality_gap_matches_central_difference_oracle(monkeypatch):
@@ -401,8 +412,11 @@ def test_tpbvp_optimality_gap_matches_central_difference_oracle(monkeypatch):
     ref = _case_one_reference(q, 1000)
     setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
     res = lq_tracking_tpbvp(sys_, ref, setup, dt)
-    assert tpbvp_optimality_gap(sys_, ref, setup, res) <= 1e-6
-    assert _optimality_gap_oracle(sys_, ref, setup, res) <= 1e-6
+    gap = tpbvp_optimality_gap(sys_, ref, setup, res)
+    worst, sampled = _optimality_gap_oracle(sys_, ref, setup, res)
+    assert gap <= 1e-6 and worst <= 1e-6
+    # the worst case over the kernel bounds every sampled direction
+    assert gap >= sampled
     # checked against a doubled control weight, the R = I solution is far
     # from optimal.  The ODE defect, whose Hamiltonian comes from the weight
     # it is given, sees that directly.  The gap reruns its nominal through
@@ -414,8 +428,10 @@ def test_tpbvp_optimality_gap_matches_central_difference_oracle(monkeypatch):
     solved = tracking._hamiltonian_matrix(sys_, setup.R)
     monkeypatch.setattr(tracking, "_hamiltonian_matrix", lambda sys, R: solved)
     gap = tpbvp_optimality_gap(sys_, ref, doubled, res)
+    worst, sampled = _optimality_gap_oracle(sys_, ref, doubled, res)
     assert gap > 1e-6
-    assert gap == pytest.approx(_optimality_gap_oracle(sys_, ref, doubled, res), rel=1e-8)
+    assert gap == pytest.approx(worst, rel=1e-8)
+    assert gap >= sampled
 
 
 def test_tpbvp_unreachable_endpoint_raises():
@@ -694,6 +710,22 @@ def test_shooting_cost_overflow_raises_without_numpy_warning():
         with pytest.raises(SolverError, match="non-finite shooting cost"):
             _shooting_objective(model, g, x0, basis, q, ref.value(ref.time_grid), u,
                                 1.0, 0.025, 1e-3)
+
+
+def test_kuramoto_shooting_gradient_overflow_raises_without_numpy_warning():
+    # with this coupling the forward run stays finite (phases wrap), but the
+    # reverse sweep overflows: the run ends in the SolverError alone
+    from momentsteer import circular_plan, pushforward
+
+    n = 8
+    g = make_uniform_grid(n, -1.0, 1.0)
+    th0 = 2 * np.pi * (np.arange(n) + 0.5) / n
+    ref = ot_moment_reference(circular_plan(pushforward(g, th0), np.pi), FOURIER, 3,
+                              np.linspace(0.0, 1.0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="initial control: non-finite shooting gradient"):
+            direct_shooting(Kuramoto(coupling=1e300), g, th0, ref, n_intervals=2, dt=0.1)
 
 
 def _check_history(res, iterations):
