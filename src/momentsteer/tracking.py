@@ -197,17 +197,19 @@ def lq_tracking_tpbvp(
     # endpoint by ~1e-9, so both runs and the superposition are longdouble
     A = _hamiltonian_matrix(sys, setup.R)
     fld = _tpbvp_forcing(ref, n_steps, dt, dtype=np.longdouble)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+    times = float(ref.time_grid[0]) + dt * np.arange(n_steps + 1)
+    # the matching solve reads the float64 image of the runs' last rows; an
+    # overflow there, in longdouble or in the cast, is reported with its instant
+    with np.errstate(over="ignore", invalid="ignore"):
         part = _rk4_affine(A, np.concatenate([setup.m_start, np.zeros(n)]), fld, dt,
                            np.longdouble)
         unit = _rk4_affine(A, np.hstack([np.zeros((n, n)), np.eye(n)]), np.zeros_like(fld), dt,
                            np.longdouble)  # (n, n_steps+1, 2n)
-    times = float(ref.time_grid[0]) + dt * np.arange(n_steps + 1)
-    for name, run in (("particular", part), ("unit-costate", unit)):
-        bad = ~np.isfinite(run).reshape(-1, n_steps + 1, 2 * n).all(axis=(0, 2))
-        if bad.any():
-            raise SolverError(f"non-finite {name} state/costate run at "
-                              f"t={times[np.argmax(bad)]:.6g}")
+        for name, run in (("particular", part), ("unit-costate", unit)):
+            if not np.isfinite(run[..., -1, :].astype(np.float64)).all():
+                ok = np.isfinite(run.astype(np.float64)).reshape(-1, n_steps + 1, 2 * n)
+                raise SolverError(f"non-finite {name} state/costate run at "
+                                  f"t={times[np.argmin(ok.all(axis=(0, 2)))]:.6g}")
     match_ld = unit[:, -1, :n].T
     match = match_ld.astype(np.float64)
     sv = np.linalg.svd(match, compute_uv=False)

@@ -570,14 +570,16 @@ def test_track_tpbvp_unreachable_endpoint_exits_3(tmp_path, capsys):
     assert "boundary matching matrix is singular" in capsys.readouterr().err
 
 
-def test_track_tpbvp_overflow_exits_3_naming_the_run(tmp_path):
-    # R = 1e-300 I is a valid weight, but R^-1 overflows the longdouble
-    # state/costate runs: the failure names the run and the instant, with no
-    # NumPy warning and no LAPACK message from an SVD of non-finite entries.
+@pytest.mark.parametrize("r_scale", [1e-300, 1e-6])
+def test_track_tpbvp_overflow_exits_3_naming_the_run(tmp_path, r_scale):
+    # tiny weights are valid, but R^-1 makes the state/costate runs overflow:
+    # longdouble itself at 1e-300, the float64 image the matching solve reads
+    # at 1e-6.  The failure names the run and the instant, with no NumPy
+    # warning and no LAPACK message from an SVD of non-finite entries.
     # A subprocess, because LAPACK writes to the C-level stdout
     root = Path(__file__).resolve().parents[1]
     spec = json.loads((root / "scenarios" / "labeled_fixed_endpoint.json").read_text())
-    spec["solver"]["r_scale"] = 1e-300
+    spec["solver"]["r_scale"] = r_scale
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "momentsteer.cli", "track", "--scenario",

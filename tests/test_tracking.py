@@ -448,6 +448,18 @@ def test_tpbvp_unreachable_endpoint_raises():
         lq_tracking_tpbvp(dead, ref, setup, 1e-2)
 
 
+def test_tpbvp_overflowing_unit_costate_run_raises():
+    # a zero reference from m_start = 0 keeps the particular run at zero; the
+    # unit costates, driven through R^-1 = 1e300, overflow in longdouble
+    q, p = 3, 2
+    tgrid = np.arange(0, 101) * 1e-2
+    zeros = np.zeros((tgrid.size, q + 1))
+    ref = MomentReference(tgrid, zeros, zeros.copy(), MONOMIAL_PARAM)
+    setup = LQSetup(1e-300 * np.eye(p), np.zeros(q + 1), np.zeros(q + 1))
+    with pytest.raises(SolverError, match=r"^non-finite unit-costate state/costate run at t="):
+        lq_tracking_tpbvp(build_linear_moment_system(q, p), ref, setup, 1e-2)
+
+
 def test_lqsetup_requires_spd_weight():
     with pytest.raises(ValueError):
         LQSetup(np.array([[1.0, 0.0], [0.0, -2.0]]), np.zeros(3), np.zeros(3))
