@@ -1,8 +1,8 @@
 """Command-line front end: scenario-driven simulate / plan / track / validate
 pipelines emitting plot-ready CSV files and JSON summaries.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 threshold
-violation.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (out of memory
+included), 4 threshold violation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .moment_systems import build_linear_moment_system
 from .scenario import Scenario, load_scenario
 from .tracking import (
     LQSetup,
-    _gap_grid,
     direct_shooting,
     exact_tracking_feedback,
     lq_tracking_tpbvp,
@@ -121,6 +120,22 @@ def _check_thresholds(scn: Scenario, summary: dict) -> list:
     return failures
 
 
+# largest relative gap between the members' mass and the reference's in a
+# labeled track: the labeled solvers start from the reference's moments, so
+# members that do not resolve the initial density would otherwise go unseen
+MEMBER_MASS_TOL = 1e-3
+
+
+def _check_member_mass(x0, grid, ref) -> None:
+    """Raise ConfigError when the members' m_0 on ``grid`` is further than
+    ``MEMBER_MASS_TOL`` relative from the reference's first moment."""
+    mass, want = float(x0 @ grid.weights), float(ref.m_star[0, 0].real)
+    if not abs(mass - want) <= MEMBER_MASS_TOL * abs(want):
+        raise ConfigError(f"initial: the {grid.size} members carry mass {mass:.6g}, not the "
+                          f"density's {want:.6g}; grid.members does not resolve the initial "
+                          "density")
+
+
 # a replay whose members grow past this multiple of the initial magnitude
 # (at least 1) is reported as a SolverWarning
 REPLAY_BLOWUP = 1e3
@@ -160,13 +175,9 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         if isinstance(model, Kuramoto):
             raise ConfigError(f"solver '{method}' needs the linear model")
         n_steps = _steps_per_interval(scn.horizon, scn.dt)
-        if method == "tpbvp" and scn.solver["verify"]:
-            try:  # the optimality gap's grid, checked before the solve
-                _gap_grid(scn.horizon, scn.dt)
-            except ConfigError as exc:
-                raise ConfigError(f"solver.verify: {exc}") from None
         tgrid = np.linspace(0.0, scn.horizon, n_steps + 1)
         ref = scn.build_reference(grid, tgrid)
+        _check_member_mass(x0, grid, ref)
         sys_ = build_linear_moment_system(scn.q, model.n_inputs)
         if method == "exact":
             result = exact_tracking_feedback(sys_, ref, ref.m_star[0].real, scn.dt)
@@ -190,6 +201,8 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         opt_grid = scn.build_grid(scn.solver["optimize_members"])
         opt_x0 = scn.initial_state(opt_grid)
         ref = scn.build_reference(opt_grid, tgrid)
+        if scn.basis == MONOMIAL_PARAM:
+            _check_member_mass(x0, grid, ref)
         guess = None
         if scn.solver["initial_guess"] == "terminal_profile":
             if isinstance(model, Kuramoto):
@@ -252,8 +265,9 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         summary["replay_final_residual"] = float(replay[-1])
     for key in ("boundary_residual_start", "boundary_residual_end", "matching_condition",
                 "hht_condition", "iterations"):
-        if key in result.info:
-            summary[key] = float(result.info[key])
+        if key in result.info:  # an infinite H H' condition is written as null
+            value = float(result.info[key])
+            summary[key] = value if np.isfinite(value) else None
     summary.update(checks)
     if "stop_reason" in result.info:
         summary["stop_reason"] = result.info["stop_reason"]
@@ -384,6 +398,9 @@ def main(argv=None) -> int:
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a step count or grid beyond memory
+        print(f"solver failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except ThresholdViolation as exc:
         print(f"threshold violation: {exc}", file=sys.stderr)

@@ -243,7 +243,8 @@ def _trunc_gauss_values(xs, mean, sigma):
     tail_mass = _ndtr((1.0 - mean) / sigma) - _ndtr((0.0 - mean) / sigma)
     if tail_mass < 1e-12:
         raise ConfigError("truncation retains almost no mass on [0, 1]")
-    return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) / (sigma * tail_mass)
+    with np.errstate(over="ignore"):  # z^2 overflows far in the tail: exp(-inf) = 0
+        return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) / (sigma * tail_mass)
 
 
 def truncated_gaussian(mean: float, sigma: float, n_points: int = 2001) -> GridDensity:

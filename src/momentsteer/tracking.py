@@ -7,9 +7,12 @@ discrete adjoint (one forward run and one reverse sweep per evaluation).
 
 The fixed-endpoint solution is checked by its defect against the exact
 (matrix-exponential) solution of its ODE, the moment and costate blocks each
-on its own scale, and by its optimality gap: the largest directional
-derivative of the cost over endpoint-preserving variations, taken in closed
-form as the norm of the projected cost gradient.
+on its own scale, and by the optimality gap of the returned trajectory and
+control: the largest directional derivative of their cost over
+endpoint-preserving variations held on the solver's steps, taken in closed
+form as the norm of the projected cost gradient.  The defect reads the
+moment and costate traces, the gap the moments and the control, so a wrong
+initial costate, control or weight each fails one of them.
 """
 
 from __future__ import annotations
@@ -154,11 +157,12 @@ def _hamiltonian_matrix(sys: LinearMomentSystem, R: np.ndarray) -> np.ndarray:
     return A
 
 
-def _tpbvp_forcing(ref: MomentReference, n_steps, dt, dtype=np.float64):
-    """Costate forcing 2 m*(t) on the half-step grid, evaluated in ``dtype``."""
+def _tpbvp_forcing(ref: MomentReference, n_steps, dt):
+    """Costate forcing 2 m*(t) on the half-step grid, evaluated in longdouble."""
     n = ref.order + 1
-    times = ref.time_grid[0] + np.arange(2 * n_steps + 1, dtype=dtype) * dtype(dt) / 2
-    out = np.zeros((2 * n_steps + 1, 2 * n), dtype=dtype)
+    ld = np.longdouble
+    times = ref.time_grid[0] + np.arange(2 * n_steps + 1, dtype=ld) * ld(dt) / 2
+    out = np.zeros((2 * n_steps + 1, 2 * n), dtype=ld)
     out[:, n:] = 2 * ref.value(times)
     return out
 
@@ -196,7 +200,7 @@ def lq_tracking_tpbvp(
     # the costate is large, and float64 rounding of the runs alone moves the
     # endpoint by ~1e-9, so both runs and the superposition are longdouble
     A = _hamiltonian_matrix(sys, setup.R)
-    fld = _tpbvp_forcing(ref, n_steps, dt, dtype=np.longdouble)
+    fld = _tpbvp_forcing(ref, n_steps, dt)
     times = float(ref.time_grid[0]) + dt * np.arange(n_steps + 1)
     # the matching solve reads the float64 image of the runs' last rows; an
     # overflow there, in longdouble or in the cast, is reported with its instant
@@ -316,22 +320,10 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, ref: MomentReference, setup: LQS
                for blk in (slice(0, n), slice(n, 2 * n)))
 
 
-# control segments of the optimality-gap variations, and the passes of the
-# projection onto the kernel of the endpoint map (repeated against roundoff)
-VARIATION_INTERVALS = 25
+# passes of the projection onto the kernel of the endpoint map (repeated against roundoff)
 PROJECTION_PASSES = 3
 # ridge weight of the terminal-profile fit, which keeps the guessed control's energy moderate
 GUESS_RIDGE = 1e-4
-
-
-def _gap_grid(horizon: float, dt: float) -> tuple:
-    """The optimality gap's grid for a solve at step ``dt``: the step dt/2
-    and its number of steps per variation segment."""
-    try:
-        return dt / 2, _steps_per_interval(horizon / VARIATION_INTERVALS, dt / 2)
-    except ConfigError:
-        raise ConfigError(f"the optimality gap needs dt/2 to divide its {VARIATION_INTERVALS} "
-                          f"variation segments; dt={dt:g} does not") from None
 
 
 def tpbvp_optimality_gap(
@@ -340,56 +332,48 @@ def tpbvp_optimality_gap(
     setup: LQSetup,
     result: TrackingResult,
 ) -> float:
-    """Largest relative directional derivative of the cost over every
-    endpoint-preserving control variation, in closed form.
+    """Largest relative directional derivative of the cost of the returned
+    trajectory over every endpoint-preserving control variation held on the
+    solver's steps, in closed form.
 
-    The cost is quadratic in a variation held on ``VARIATION_INTERVALS``
-    segments, so each directional derivative is exactly an inner product with
-    the cost gradient.  The moment system is linear and time invariant: a unit
-    hold H e_i on segment s has the zero-state response Y_i of that hold on
-    the first segment, delayed by s segments.  So p runs give the endpoint map
-    E and the gradient's tracking part 2 trapezoid(e . Y_i delayed), with e the
-    nominal tracking error.  The largest |v . grad| / ||v||_L2 over v in the
-    kernel of E is the norm of the gradient projected onto that kernel, over
-    the L2 weight sqrt(segment length); it is normalized by the cost scale.
-    Verification runs at half the solver step to keep discretization bias
-    below the threshold.
+    The nominal is the solution itself: the tracking error of
+    ``result.moments`` and the returned control, with the last instant's
+    control -1/2 R^-1 H' lambda_N from the costate trace.  The cost, the
+    trapezoid of |e|^2 + u' R u on the solver grid, is quadratic in a
+    variation, so each directional derivative is an inner product with its
+    gradient.  The moment system is linear and time invariant: a unit hold
+    H e_i on step k has the zero-state response Y_i of that hold on the first
+    step, delayed by k steps.  So one run gives the endpoint map E and the
+    gradient's tracking part 2 dt (sum_j e_{k+j} . Y_i[j] - e_N . Y_i[N-k] / 2),
+    a correlation over every delay, taken by FFT; the energy part is
+    dt R (u_k + u_{k+1}), the hold entering both ends of its step.  The largest
+    |v . grad| / ||v||_L2 over v in the kernel of E is the norm of the
+    gradient projected onto that kernel, over the L2 weight sqrt(dt); it is
+    normalized by the cost scale.
     """
     _check_labeled_reference(sys, ref)
     n = sys.q + 1
-    horizon = float(result.times[-1] - result.times[0])
-    dt_v, per = _gap_grid(horizon, float(result.times[1] - result.times[0]))
-    n_steps = VARIATION_INTERVALS * per
-    starts = per * np.arange(VARIATION_INTERVALS)
+    n_steps = result.times.size - 1
+    dt = float(result.times[1] - result.times[0])
+    e = result.moments - ref.value(result.times).real
+    u_end = -0.5 * np.linalg.solve(setup.R, sys.H.T @ result.info["lambda_trace"][-1])
+    u = np.vstack([result.control.values, u_end])  # (n_steps+1, p)
 
-    # nominal control on the quarter grid of the solver (= half grid of dt_v)
-    f_q = _tpbvp_forcing(ref, 2 * n_steps, dt_v / 2)
-    z0 = np.concatenate([setup.m_start, result.info["lambda_trace"][0]])
-    z_fine = _rk4_affine(_hamiltonian_matrix(sys, setup.R), z0, f_q, dt_v / 2)
-    u_nom = -0.5 * np.linalg.solve(setup.R, sys.H.T @ z_fine[:, n:].T).T  # (2*n_steps+1, p)
-    m_ref = f_q[::4, n:] / 2  # m* at k dt_v, row 4k of the forcing: 4k (dt_v / 4) = k dt_v
-    e = _rk4_affine(sys.L, setup.m_start, u_nom @ sys.H.T, dt_v) - m_ref
-
-    # every stage of a step uses the step's owning segment (zero-order hold)
-    first = np.zeros((sys.p, VARIATION_INTERVALS, n))
+    first = np.zeros((sys.p, n_steps, n))
     first[:, 0] = sys.H.T
-    Y = _rk4_affine(sys.L, np.zeros(n), np.zeros((2 * n_steps + 1, n)), dt_v,
-                    hold=first, per=per)  # (p, n_steps+1, n)
-    E = Y[:, n_steps - starts].transpose(1, 0, 2).reshape(-1, n).T  # column s*p + i
-
-    # the energy integrand jumps where the variation switches, so it is
-    # integrated segment by segment; the tracking integrand integrates globally
-    useg = u_nom[::2][starts[:, None] + np.arange(per + 1)]  # (segments, per+1, p)
-    J0 = (np.trapezoid(np.sum(e * e, axis=1), dx=dt_v)
-          + np.trapezoid(np.einsum("sij,jk,sik->si", useg, setup.R, useg), dx=dt_v).sum())
-    track = [np.trapezoid(np.einsum("kj,ikj->ik", e[k:], Y[:, : n_steps + 1 - k]), dx=dt_v)
-             for k in starts]
-    grad = 2 * (np.array(track) + np.trapezoid(useg @ setup.R, dx=dt_v, axis=1)).ravel()
-
-    g = grad
+    Y = _rk4_affine(sys.L, np.zeros(n), np.zeros((2 * n_steps + 1, n)), dt,
+                    hold=first, per=1)  # (p, n_steps+1, n)
+    E = Y[:, :0:-1].transpose(1, 0, 2).reshape(-1, n).T  # column k*p + i
+    size = 2 * (n_steps + 1)  # zero padding: no delay wraps around
+    spectrum = np.einsum("fj,ifj->if", np.fft.rfft(e, size, axis=0),
+                         np.fft.rfft(Y, size, axis=1).conj())
+    corr = np.fft.irfft(spectrum, size, axis=1)[:, :n_steps].T  # (n_steps, p)
+    uR = u @ setup.R
+    g = dt * (2 * corr.ravel() - e[-1] @ E + (uR[:-1] + uR[1:]).ravel())
+    J0 = np.trapezoid(np.sum(e * e, axis=1) + np.sum(uR * u, axis=1), dx=dt)
     for _ in range(PROJECTION_PASSES):
         g = g - E.T @ np.linalg.lstsq(E @ E.T, E @ g, rcond=None)[0]
-    return float(np.linalg.norm(g) / np.sqrt(horizon / VARIATION_INTERVALS) / max(1.0, abs(J0)))
+    return float(np.linalg.norm(g) / np.sqrt(dt) / max(1.0, abs(J0)))
 
 
 def _shooting_objective(model, grid, x0, basis, q, m_ref, u, horizon, dt, energy_weight,

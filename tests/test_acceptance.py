@@ -119,8 +119,9 @@ def test_exact_regime_requires_one_input_per_component():
 
 def test_criterion_2_fixed_endpoint_regime():
     """Shooting TPBVP, p=4, q=8, R=I: boundaries and dynamics to 1e-8,
-    first-order optimality over every endpoint-preserving variation (the
-    projected cost gradient, in closed form)."""
+    first-order optimality of the returned trajectory and control over every
+    endpoint-preserving variation held on the solver's steps (the projected
+    cost gradient, in closed form)."""
     q, p, dt = 8, 4, 1e-3
     sys_ = build_linear_moment_system(q, p)
     ref = _benchmark_reference(q, 1000)

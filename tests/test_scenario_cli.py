@@ -447,25 +447,83 @@ def test_track_tpbvp_boundaries(tmp_path):
     assert summary["optimality_gap"] <= 1e-6
 
 
-def test_track_tpbvp_verify_grid_checked_before_solve(tmp_path, capsys, monkeypatch):
-    # dt = 0.0125 divides the horizon, but the optimality gap runs at dt/2,
-    # which does not divide its 25 variation segments of 0.04
-    from pathlib import Path
-
-    import momentsteer.cli as cli
-
-    def no_solve(*args):
-        raise AssertionError("solved before the verification grid was checked")
-
-    monkeypatch.setattr(cli, "lq_tracking_tpbvp", no_solve)
+def test_track_tpbvp_verify_runs_at_any_solver_step(tmp_path):
+    # the optimality gap holds its variations on the solver's own steps, so
+    # a step of 0.0125, whose half does not divide 25 equal segments of the
+    # horizon, is verified like any other
     spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
                        / "labeled_fixed_endpoint.json").read_text())
     spec["dt"] = 0.0125
-    out = tmp_path / "verify_grid"
+    out = tmp_path / "coarse"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["optimality_gap"] <= 1e-6
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, read as RFC 8259 JSON: no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_track_exact_with_fewer_channels_writes_strict_json(tmp_path):
+    # 8 channels for 9 tracked components: H H' is singular, and its
+    # condition is written as null, not as the bare token Infinity
+    import warnings
+
+    from momentsteer import SolverWarning
+
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "labeled_exact.json").read_text())
+    spec["model"]["inputs"] = 8
+    path, out = _write(tmp_path, spec), tmp_path / "eight"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverWarning)
+        assert main(["track", "--scenario", str(path), "--out", str(out)]) == 4
+    main(["validate", "--scenario", str(path), "--out", str(out)])
+    assert _strict_json(out / "summary.json")["hht_condition"] is None
+    _strict_json(out / "validation.json")
+
+
+@pytest.mark.parametrize("sigma, mass", [(1e-4, "3.07464e-99"), (1e-3, "0.175283"),
+                                         (1e-300, "0")])
+def test_track_labeled_members_must_resolve_initial_density(tmp_path, capsys, sigma, mass):
+    # the labeled solvers start from the reference's moments, not the
+    # members', so a density narrower than the member spacing would be
+    # tracked and then fail only in validate; at 1e-300 the density's tail
+    # underflows with no NumPy warning (pytest turns one into an error)
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "labeled_exact.json").read_text())
+    spec["initial"]["sigma"] = sigma
+    out = tmp_path / "narrow"
     assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "configuration error: solver.verify" in err
-    assert "25 variation segments" in err and "dt=0.0125" in err
+    assert f"configuration error: initial: the 200 members carry mass {mass}," in err
+    assert "grid.members" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_track_beyond_memory_exits_3(tmp_path):
+    # 1e10 steps of 0.01 ask for 74.5 GiB; under a 3 GiB address-space limit
+    # the allocation fails at once, and the failure is a documented exit
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "scenarios" / "labeled_exact.json").read_text())
+    spec["horizon"], spec["dt"] = 1e8, 0.01
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from momentsteer.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, "track", "--scenario",
+                           str(_write(tmp_path, spec)), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 3
+    assert "solver failure: out of memory: Unable to allocate 74.5 GiB" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("name, over, message", [
@@ -909,6 +967,10 @@ def test_cli_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == {"import": [], **{path: [0, 0] for path in scenarios}}
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert len(written) == 2 * len(scenarios)  # summary.json and validation.json
+    for path in written:
+        _strict_json(path)
 
 
 def test_labeled_runs_load_no_numpy_random(tmp_path):

@@ -170,7 +170,7 @@ def test_tpbvp_superposition_equals_direct_run():
     ref = _case_one_reference(q, 1000)
     setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
     res = lq_tracking_tpbvp(sys_, ref, setup, dt)
-    fld = _tpbvp_forcing(ref, res.times.size - 1, dt, dtype=np.longdouble)
+    fld = _tpbvp_forcing(ref, res.times.size - 1, dt)
     z0 = np.concatenate([setup.m_start, res.info["lambda_trace"][0]])
     direct = _rk4_affine(_hamiltonian_matrix(sys_, setup.R), z0, fld, dt, np.longdouble)
     superposed = np.hstack([res.moments, res.info["lambda_trace"]])
@@ -225,14 +225,18 @@ def test_ode_residual_matches_dop853_oracle(tpbvp_case):
     assert abs(exact - _ode_residual_oracle(sys_, setup, ref, res)) <= 1e-10
 
 
-@pytest.mark.parametrize("corruption", ["moments+1e-6", "moments+1e-3", "costate*1.5"])
+@pytest.mark.parametrize("corruption", ["moments+1e-6", "moments+1e-3", "costate*1.5",
+                                        "lambda0*1.5"])
 def test_ode_residual_fails_corrupted_trajectory(tpbvp_case, corruption):
     # a wrong moment trajectory on 200 of the 1001 instants, or a wrong
-    # costate, must fail the bound of 1e-8
+    # costate, must fail the bound of 1e-8.  The optimality gap does not read
+    # lambda0, so a wrong lambda0 alone is the defect's to catch
     sys_, ref, setup, res = tpbvp_case
     moments, lam = res.moments.copy(), res.info["lambda_trace"]
     if corruption == "costate*1.5":
         lam = 1.5 * lam
+    elif corruption == "lambda0*1.5":
+        lam = np.vstack([1.5 * lam[0], lam[1:]])
     else:
         moments[400:600] += float(corruption.split("+")[1])
     bent = TrackingResult(res.control, res.times, moments, res.residuals, res.cost,
@@ -250,6 +254,36 @@ def test_ode_residual_detects_perturbed_costate(tpbvp_case):
     oracle = _ode_residual_oracle(sys_, setup, ref, bent)
     assert exact > 1e-8 and oracle > 1e-8
     assert exact == pytest.approx(oracle, rel=1e-3)
+
+
+@pytest.mark.parametrize("corruption", ["control*2", "weight*2"])
+def test_optimality_gap_fails_wrong_control_or_weight(tpbvp_case, corruption):
+    # the gap reads the returned control and moments: a control that is not
+    # the solve's, or a weight that the solve did not use, must fail 1e-6
+    sys_, ref, setup, res = tpbvp_case
+    if corruption == "control*2":
+        res = TrackingResult(ControlSignal(res.control.time_grid, 2 * res.control.values),
+                             res.times, res.moments, res.residuals, res.cost, info=res.info)
+    else:
+        setup = LQSetup(2 * setup.R, setup.m_start, setup.m_end)
+    assert tpbvp_optimality_gap(sys_, ref, setup, res) > 1e-6
+
+
+def test_tpbvp_printed_fields_are_consistent(tpbvp_case):
+    # control.csv, residual.csv and summary.json's cost print fields that the
+    # two checks do not read whole: each must follow from the moment and
+    # costate traces as the solve defines it
+    sys_, ref, setup, res = tpbvp_case
+    lam = res.info["lambda_trace"]
+    u = -0.5 * np.linalg.solve(setup.R, sys_.H.T @ lam.T).T
+    np.testing.assert_array_equal(res.control.values, u[:-1])
+    np.testing.assert_array_equal(res.control.time_grid, res.times)
+    # relative to the largest: at the boundaries both are rounding, ~1e-16
+    residuals = np.linalg.norm(res.moments - ref.value(res.times).real, axis=1)
+    np.testing.assert_allclose(res.residuals, residuals, rtol=0, atol=1e-12 * residuals.max())
+    energy = np.einsum("ij,jk,ik->i", u, setup.R, u)
+    assert res.cost == pytest.approx(np.trapezoid(res.residuals**2 + energy, res.times),
+                                     rel=1e-13)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -333,80 +367,72 @@ def test_tpbvp_first_order_optimality_small_case():
     assert gap <= 1e-6
 
 
-def test_tpbvp_optimality_gap_names_the_solver_step():
-    # dt = 0.0125 divides the horizon, but the gap runs at dt/2, which does
-    # not divide its 25 variation segments of 0.04; the error names the dt
-    # of the solve, not the half step
-    q, p, dt = 3, 2, 0.0125
-    sys_ = build_linear_moment_system(q, p)
-    ref = _case_one_reference(q, 80)
-    setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
-    res = lq_tracking_tpbvp(sys_, ref, setup, dt)
-    with pytest.raises(ConfigError, match=r"the optimality gap needs dt/2 to divide its 25 "
-                                          r"variation segments; dt=0\.0125 does not$"):
-        tpbvp_optimality_gap(sys_, ref, setup, res)
-
-
-def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0):
-    """The gap by brute force, as ``(worst, sampled)``.  The endpoint map
-    comes from one run per unit hold (segment, channel), and every cost from
-    one batch of runs.  ``worst`` takes the cost gradient as the central
-    differences (J(u + e_j) - J(u - e_j)) / 2 on every unit hold, exact for a
-    quadratic cost, projects it onto the kernel of the endpoint map and
-    normalizes its L2 norm.  ``sampled`` is the largest central difference
-    over ``n_variations`` seeded random directions in that kernel, which
-    bounds ``worst`` from below."""
-    from momentsteer.ensembles import _steps_per_interval
+def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0, chunk=500):
+    """The gap by brute force, as ``(worst, sampled)``.  The nominal is the
+    returned solution, with the last instant's control from the costate
+    trace; each variation is a hold on the solver's steps, run from zero
+    state in batches of ``chunk`` and added to ``result.moments``.  The
+    endpoint map is the endpoints of the runs of every unit hold (step,
+    channel).  ``worst`` takes the cost gradient as the central differences
+    (J(u + e_j) - J(u - e_j)) / 2 on every unit hold, 2 N p + 1 costs and
+    exact for a quadratic cost, projects it onto the kernel of the endpoint
+    map and normalizes its L2 norm.  ``sampled`` is the largest central
+    difference over ``n_variations`` seeded random directions in that
+    kernel, which bounds ``worst`` from below."""
     from momentsteer.moment_systems import _rk4_affine
-    from momentsteer.tracking import (PROJECTION_PASSES, VARIATION_INTERVALS,
-                                      _hamiltonian_matrix, _tpbvp_forcing)
+    from momentsteer.tracking import PROJECTION_PASSES
 
     n, p = sys_.q + 1, sys_.p
-    dt_v = float(result.times[1] - result.times[0]) / 2
-    horizon = float(result.times[-1] - result.times[0])
-    n_steps = _steps_per_interval(horizon, dt_v)
-    per = _steps_per_interval(horizon / VARIATION_INTERVALS, dt_v)
-    f_q = _tpbvp_forcing(ref, 2 * n_steps, dt_v / 2)
-    z_fine = _rk4_affine(_hamiltonian_matrix(sys_, setup.R),
-                         np.concatenate([setup.m_start, result.info["lambda_trace"][0]]), f_q,
-                         dt_v / 2)
-    u_nom = -0.5 * np.linalg.solve(setup.R, sys_.H.T @ z_fine[:, n:].T).T
-    drive = u_nom @ sys_.H.T
-    m_ref = ref.value(result.times[0] + dt_v * np.arange(n_steps + 1)).real
+    n_steps = result.times.size - 1
+    nv = n_steps * p
+    dt = float(result.times[1] - result.times[0])
+    u_end = -0.5 * np.linalg.solve(setup.R, sys_.H.T @ result.info["lambda_trace"][-1])
+    u_nom = np.vstack([result.control.values, u_end])
+    m_ref = ref.value(result.times).real
+    free = np.zeros((2 * n_steps + 1, n))
 
-    nv = VARIATION_INTERVALS * p
-    basis = np.eye(nv).reshape(nv, VARIATION_INTERVALS, p)
-    E = _rk4_affine(sys_.L, np.zeros(n), np.zeros_like(drive), dt_v,
-                    hold=basis @ sys_.H.T, per=per)[:, -1].T
+    def runs(holds):
+        """Cost and endpoint response of every (batch, step, channel) hold."""
+        resp = _rk4_affine(sys_.L, np.zeros(n), free, dt, hold=holds @ sys_.H.T, per=1)
+        e = result.moments + resp - m_ref
+        track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt, axis=1)
+        lo, hi = u_nom[:-1] + holds, u_nom[1:] + holds  # the hold at both ends of its step
+        energy = (np.einsum("bki,ij,bkj->b", lo, setup.R, lo)
+                  + np.einsum("bki,ij,bkj->b", hi, setup.R, hi)) * dt / 2
+        return track + energy, resp[:, -1]
+
+    def unit_runs(sign):
+        out = [], []
+        for start in range(0, nv, chunk):
+            rows = np.arange(start, min(start + chunk, nv))
+            holds = np.zeros((rows.size, nv))
+            holds[np.arange(rows.size), rows] = sign
+            for acc, val in zip(out, runs(holds.reshape(-1, n_steps, p))):
+                acc.append(val)
+        return [np.concatenate(acc) for acc in out]
+
+    J0 = float(runs(np.zeros((1, n_steps, p)))[0][0])
+    J_plus, ends = unit_runs(1.0)
+    J_minus, _ = unit_runs(-1.0)
+    E = ends.T  # column k*p + i
+    scale = max(1.0, abs(J0))
+
+    g = (J_plus - J_minus) / 2.0
+    for _ in range(PROJECTION_PASSES):
+        g = g - E.T @ np.linalg.lstsq(E @ E.T, E @ g, rcond=None)[0]
+    worst = float(np.linalg.norm(g) / np.sqrt(dt) / scale)
+
     v = np.random.default_rng(seed).standard_normal((n_variations, nv))
     for _ in range(PROJECTION_PASSES):
         v = v - np.linalg.lstsq(E @ E.T, E @ v.T, rcond=None)[0].T @ E
-    du = v.reshape(n_variations, VARIATION_INTERVALS, p)
-    batch = np.concatenate([np.zeros((1, VARIATION_INTERVALS, p)), basis, -basis, du, -du])
-
-    m = _rk4_affine(sys_.L, setup.m_start, drive, dt_v, hold=batch @ sys_.H.T, per=per)
-    e = m - m_ref
-    track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt_v, axis=1)
-    nodes = per * np.arange(VARIATION_INTERVALS)[:, None] + np.arange(per + 1)
-    useg = u_nom[::2][nodes] + batch[:, :, None, :]
-    integrand = np.einsum("bsij,jk,bsik->bsi", useg, setup.R, useg)
-    J = track + np.trapezoid(integrand, dx=dt_v, axis=-1).sum(axis=1)
-    scale = max(1.0, abs(J[0]))
-    J_unit, J_var = J[1 : 2 * nv + 1], J[2 * nv + 1 :]
-
-    g = (J_unit[:nv] - J_unit[nv:]) / 2.0
-    for _ in range(PROJECTION_PASSES):
-        g = g - E.T @ np.linalg.lstsq(E @ E.T, E @ g, rcond=None)[0]
-    worst = float(np.linalg.norm(g) / np.sqrt(horizon / VARIATION_INTERVALS) / scale)
-
-    norm_du = np.sqrt(np.sum(du**2, axis=(1, 2)) * horizon / VARIATION_INTERVALS)
+    du = v.reshape(n_variations, n_steps, p)
+    J_var = runs(np.concatenate([du, -du]))[0]
+    norm_du = np.sqrt(np.sum(v**2, axis=1) * dt)
     gaps = np.abs(J_var[:n_variations] - J_var[n_variations:]) / 2.0 / (norm_du * scale)
     return worst, float(np.max(gaps))
 
 
-def test_tpbvp_optimality_gap_matches_central_difference_oracle(monkeypatch):
-    from momentsteer import tracking
-
+def test_tpbvp_optimality_gap_matches_central_difference_oracle():
     q, p, dt = 3, 2, 1e-3
     sys_ = build_linear_moment_system(q, p)
     ref = _case_one_reference(q, 1000)
@@ -418,15 +444,10 @@ def test_tpbvp_optimality_gap_matches_central_difference_oracle(monkeypatch):
     # the worst case over the kernel bounds every sampled direction
     assert gap >= sampled
     # checked against a doubled control weight, the R = I solution is far
-    # from optimal.  The ODE defect, whose Hamiltonian comes from the weight
-    # it is given, sees that directly.  The gap reruns its nominal through
-    # that Hamiltonian, which makes any nominal stationary, so the R = I one
-    # is patched in: the gap must see the doubled weight, and agree with
-    # the oracle on a nominal whose gradient is far from zero
+    # from optimal: the gap reads the returned control and moments, so it
+    # sees the weight, and agrees with the oracle on a nominal whose
+    # gradient is far from zero
     doubled = LQSetup(2 * np.eye(p), setup.m_start, setup.m_end)
-    assert tpbvp_ode_residual(sys_, ref, doubled, res) > 1e-8
-    solved = tracking._hamiltonian_matrix(sys_, setup.R)
-    monkeypatch.setattr(tracking, "_hamiltonian_matrix", lambda sys, R: solved)
     gap = tpbvp_optimality_gap(sys_, ref, doubled, res)
     worst, sampled = _optimality_gap_oracle(sys_, ref, doubled, res)
     assert gap > 1e-6
