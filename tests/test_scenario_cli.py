@@ -504,6 +504,23 @@ def test_track_labeled_members_must_resolve_initial_density(tmp_path, capsys, si
     assert not (out / "summary.json").exists()
 
 
+def test_track_labeled_shooting_checks_the_optimized_members(tmp_path, capsys):
+    # the optimizer runs on optimize_members members and the reference is
+    # built on that grid: 200 members resolve a density of sigma 0.01, 4 do not
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "labeled_exact.json").read_text())
+    spec["model"]["inputs"], spec["q"] = 2, 3
+    spec["initial"]["sigma"] = 0.01
+    spec["solver"] = {"method": "shooting", "intervals": 5, "iterations": 3,
+                      "optimize_members": 4}
+    out = tmp_path / "coarse"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: initial: the 4 members carry mass" in err
+    assert "solver.optimize_members does not resolve the initial density" in err
+    assert not (out / "summary.json").exists()
+
+
 def test_track_beyond_memory_exits_3(tmp_path):
     # 1e10 steps of 0.01 ask for 74.5 GiB; under a 3 GiB address-space limit
     # the allocation fails at once, and the failure is a documented exit

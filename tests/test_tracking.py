@@ -367,6 +367,24 @@ def test_tpbvp_first_order_optimality_small_case():
     assert gap <= 1e-6
 
 
+def test_tpbvp_optimality_gap_grows_as_dt_squared():
+    # the gap is of the trapezoid cost on the solver grid, whose minimizer
+    # differs from the RK4 solve's by O(dt^2): on this problem gap / dt^2
+    # reads 0.0120 from dt = 1e-3 to 1e-2, so a correct solve at dt = 1e-2
+    # already reads above the bound of 1e-6
+    q, p = 3, 2
+    sys_ = build_linear_moment_system(q, p)
+    ratios = {}
+    for n_steps in (1000, 200, 100):
+        ref = _case_one_reference(q, n_steps)
+        setup = LQSetup(np.eye(p), ref.m_star[0].real, ref.m_star[-1].real)
+        res = lq_tracking_tpbvp(sys_, ref, setup, 1.0 / n_steps)
+        ratios[n_steps] = tpbvp_optimality_gap(sys_, ref, setup, res) * n_steps**2
+    assert ratios[200] == pytest.approx(ratios[1000], rel=0.01)
+    assert ratios[100] == pytest.approx(ratios[1000], rel=0.01)
+    assert ratios[1000] <= 1e-6 * 1000**2 and ratios[100] > 1e-6 * 100**2
+
+
 def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0, chunk=500):
     """The gap by brute force, as ``(worst, sampled)``.  The nominal is the
     returned solution, with the last instant's control from the costate
@@ -444,10 +462,12 @@ def test_tpbvp_optimality_gap_matches_central_difference_oracle():
     # the worst case over the kernel bounds every sampled direction
     assert gap >= sampled
     # checked against a doubled control weight, the R = I solution is far
-    # from optimal: the gap reads the returned control and moments, so it
-    # sees the weight, and agrees with the oracle on a nominal whose
-    # gradient is far from zero
+    # from optimal.  The ODE defect, whose Hamiltonian comes from the weight
+    # it is given, sees that directly.  The gap reads the returned control
+    # and moments, so it sees the weight too, and agrees with the oracle on
+    # a nominal whose gradient is far from zero
     doubled = LQSetup(2 * np.eye(p), setup.m_start, setup.m_end)
+    assert tpbvp_ode_residual(sys_, ref, doubled, res) > 1e-8
     gap = tpbvp_optimality_gap(sys_, ref, doubled, res)
     worst, sampled = _optimality_gap_oracle(sys_, ref, doubled, res)
     assert gap > 1e-6
