@@ -2,7 +2,7 @@
 pipelines emitting plot-ready CSV files and JSON summaries.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (out of memory
-included), 4 threshold violation.
+included, and an array NumPy refuses for its size), 4 threshold violation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .moments import (
     member_moments,
     moment_metric_values,
     moments_density,
-    moments_output,
 )
 from .moment_systems import build_linear_moment_system
 from .scenario import Scenario, load_scenario
@@ -296,8 +295,8 @@ def _target_moments(basis: str, target, q: int) -> np.ndarray:
     below 0."""
     if basis == FOURIER:
         return _power_sums(np.array([target % (2 * np.pi)]), np.ones(1), q, trig=True)
-    if isinstance(target, EmpiricalMeasure):
-        return moments_output(target, q).values
+    if isinstance(target, EmpiricalMeasure):  # non-finite on overflow
+        return _power_sums(target.points, target.weights, q)
     return moments_density(target, q).values
 
 
@@ -354,7 +353,10 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
         sampled = sample_empirical(pushforward(grid, x), scn.samples, rng)
         payload["w2"] = (wasserstein_to_point_circular(sampled, target) if scn.basis == FOURIER
                          else wasserstein(sampled, target))
-    payload["d_m"] = moment_metric_values(m_final, _target_moments(scn.basis, target, scn.q))
+    m_target = _target_moments(scn.basis, target, scn.q)
+    if not np.all(np.isfinite(m_target)):
+        raise SolverError(f"order-{scn.q} moments of the target overflow")
+    payload["d_m"] = moment_metric_values(m_final, m_target)
     if scn.basis == FOURIER:
         payload["final_order_parameter"] = float(mean_field(final, grid)[0])
     for key in ("w2", "d_m"):
@@ -368,6 +370,11 @@ def cmd_validate(scn: Scenario, out: Path, results: Path, seed: int | None) -> i
     if not payload["passed"]:
         raise ThresholdViolation(f"w2 {payload['w2']:.6g} above {threshold:.6g}")
     return 0
+
+
+# NumPy raises ValueError, not MemoryError, for an array of 2^63 bytes or more
+NUMPY_SIZE_REFUSALS = ("array is too big", "Maximum allowed size exceeded",
+                       "Maximum allowed dimension exceeded")
 
 
 def main(argv=None) -> int:
@@ -404,7 +411,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:  # a step count or grid beyond memory
+    except (MemoryError, ValueError) as exc:  # a step count or grid beyond memory
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_SIZE_REFUSALS):
+            raise
         print(f"solver failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except ThresholdViolation as exc:

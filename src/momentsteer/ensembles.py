@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,10 +299,18 @@ def rhs(model, x, grid: ParameterGrid, u) -> np.ndarray:
     return _field(model, grid)(x, _drive(model, grid)(u), np.empty_like(x))
 
 
+# the largest count of 8-byte values that one NumPy array can hold (2^63
+# bytes); nearer 2^63, np.arange returns an empty array instead of an error
+MAX_COUNT = sys.maxsize // 8
+
+
 def _steps_per_interval(interval: float, dt: float) -> int:
     """Number of ``dt`` steps in ``interval``; the package's one rule for
     fixed-step grids.  Raises :class:`ConfigError` unless ``dt`` divides the
-    interval into at least one step."""
+    interval into at least one step and at most ``MAX_COUNT``."""
+    if interval / dt > MAX_COUNT:
+        raise ConfigError(f"dt={dt:g} divides the interval {interval:g} into more than "
+                          f"{MAX_COUNT} steps")
     n = int(round(interval / dt))
     if n < 1 or abs(n * dt - interval) > 1e-9 * max(1.0, interval):
         raise ConfigError(f"dt={dt:g} does not divide the interval {interval:g}")
@@ -360,7 +369,8 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
         raise ValueError("control channel count must match the model input count")
     per = _steps_per_interval(horizon / n_int, dt)
     if isinstance(model, LinearScalar):
-        Rp, S = _linear_transfer(grid, per, dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite state
+            Rp, S = _linear_transfer(grid, per, dt)
 
         def advance(x, drive):
             return Rp * x + S * drive
@@ -386,10 +396,10 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
                 x = np.mod(np.add(x, y, y), two_pi, state)
             return x
 
-    drive_of = _drive(model, grid)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), grid.nodes.shape)
     out = np.empty((B, n_int + 1, grid.size))
     with np.errstate(over="ignore", invalid="ignore"):
+        drive_of = _drive(model, grid)
         for row in range(B):
             x = out[row, 0] = x0
             drives = drive_of(U[row])

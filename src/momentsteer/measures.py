@@ -219,11 +219,14 @@ def wasserstein(mu, nu, p: float = 2.0) -> float:
     if p < 1:
         raise ValueError("order p must be at least 1")
     if isinstance(mu, EmpiricalMeasure) and isinstance(nu, EmpiricalMeasure):
-        return _exact_empirical_cost(mu, nu, p) ** (1.0 / p)
+        # a distance beyond float range reads inf, or nan where a zero weight meets it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _exact_empirical_cost(mu, nu, p) ** (1.0 / p)
     Fu, Fv = cdf(mu), cdf(nu)
     s = (np.arange(QUANTILE_LEVELS) + 0.5) / QUANTILE_LEVELS
     qu, qv = quantile(Fu, s), quantile(Fv, s)
-    return float(np.mean(np.abs(qu - qv) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs(qu - qv) ** p) ** (1.0 / p))
 
 
 def wasserstein_to_point_circular(mu: EmpiricalMeasure, target: float, p: float = 2.0) -> float:

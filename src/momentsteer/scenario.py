@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .ensembles import Kuramoto, LinearScalar, ParameterGrid, make_uniform_grid
+from .ensembles import MAX_COUNT, Kuramoto, LinearScalar, ParameterGrid, make_uniform_grid
 from .measures import (
     EmpiricalMeasure,
     GridDensity,
@@ -54,7 +54,7 @@ class _Num:
             if self.low > -math.inf:
                 text += f" {'>' if self.strict else '>='} {self.low:g}"
             if self.high < math.inf:
-                text += f" and <= {self.high:g}"
+                text += f" and <= {self.high}"
             raise ConfigError(f"{name} must be {text}, got {value!r}")
         return value if self.integer else float(value)
 
@@ -71,7 +71,8 @@ class _Variants:
 # The field table: key -> (rule, default).  A rule is a _Num, a tuple of the
 # allowed values, ``bool``, ``[rule]`` for a list, a nested field table or a
 # _Variants.  _REQUIRED marks a field without a default; a default of None
-# means "not set", and such a field also accepts null.
+# means "not set", and such a field also accepts null.  An integer that sizes
+# arrays is at most MAX_COUNT, the largest count one array can hold.
 _REQUIRED = object()
 _NUMBER = _Num()
 _MEASURES = {
@@ -82,11 +83,11 @@ _MEASURES = {
 }
 _SCENARIO = {
     "model": (_Variants("kind", {
-        "linear": {"inputs": (_Num(1, integer=True), 1)},
+        "linear": {"inputs": (_Num(1, MAX_COUNT, integer=True), 1)},
         "kuramoto": {"coupling": (_Num(0), 0.0)},
     }), _REQUIRED),
-    "grid": ({"members": (_Num(2, integer=True), _REQUIRED), "lo": (_NUMBER, _REQUIRED),
-              "hi": (_NUMBER, _REQUIRED)}, _REQUIRED),
+    "grid": ({"members": (_Num(2, MAX_COUNT, integer=True), _REQUIRED),
+              "lo": (_NUMBER, _REQUIRED), "hi": (_NUMBER, _REQUIRED)}, _REQUIRED),
     # initial conditions only: constant member values, phases spread over the circle
     "initial": (_Variants("kind", {**_MEASURES, "constant": {"value": (_NUMBER, _REQUIRED)},
                                    "uniform_circle": {}}), _REQUIRED),
@@ -99,19 +100,19 @@ _SCENARIO = {
         "exact": {},
         "tpbvp": {"r_scale": (_Num(0, strict=True), 1.0), "verify": (bool, False)},
         "shooting": {
-            "intervals": (_Num(1, integer=True), 50),
+            "intervals": (_Num(1, MAX_COUNT, integer=True), 50),
             "iterations": (_Num(0, integer=True), 300),
             "energy_weight": (_Num(0), 1e-3),
             "initial_guess": (("zero", "terminal_profile"), "zero"),
             "optimize_dt": (_Num(0, strict=True), None),
-            "optimize_members": (_Num(2, integer=True), None),
+            "optimize_members": (_Num(2, MAX_COUNT, integer=True), None),
         },
     }), _REQUIRED),
     "thresholds": ({key: (_NUMBER, None) for key in (
         "max_residual", "boundary_residual", "final_order_parameter", "w2", "cost")}, {}),
     "seed": (_Num(0, integer=True), 0),
-    "samples": (_Num(1, integer=True), 1000),
-    "reference_points": (_Num(2, integer=True), 201),
+    "samples": (_Num(1, MAX_COUNT, integer=True), 1000),
+    "reference_points": (_Num(2, MAX_COUNT, integer=True), 201),
 }
 
 

@@ -229,12 +229,13 @@ def lq_tracking_tpbvp(
 
     lam0 = np.zeros(n, dtype=np.longdouble)
     best = (np.inf, lam0)
-    for _ in range(REFINEMENT_PASSES):
-        resid = (setup.m_end - part[-1, :n] - match_ld @ lam0).astype(np.float64)
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm < best[0]:
-            best = (rnorm, lam0)
-        lam0 = lam0 + np.linalg.lstsq(match, resid, rcond=None)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pass is never the best
+        for _ in range(REFINEMENT_PASSES):
+            resid = (setup.m_end - part[-1, :n] - match_ld @ lam0).astype(np.float64)
+            rnorm = float(np.linalg.norm(resid))
+            if rnorm < best[0]:
+                best = (rnorm, lam0)
+            lam0 = lam0 + np.linalg.lstsq(match, resid, rcond=None)[0]
     boundary_end, lam0 = best
 
     traj = (part + np.einsum("k,kij->ij", lam0, unit)).astype(np.float64)
@@ -292,13 +293,9 @@ def tpbvp_ode_residual(sys: LinearMomentSystem, ref: MomentReference, setup: LQS
     longdouble.  The costate components are orders of magnitude larger than
     the moment components, so each block is measured on its own scale: the
     defect is the larger of the moment block's sup-norm defect over max|m|
-    and the costate block's over max|lambda| (each scale at least 1).  A
-    reference without a plan has no polynomial path and raises
-    :class:`ConfigError`.
+    and the costate block's over max|lambda| (each scale at least 1).
     """
     _check_labeled_reference(sys, ref)
-    if ref.plan is None:
-        raise ConfigError("the ODE defect needs a plan-backed reference; this one is a table")
     n = sys.q + 1
     ld = np.longdouble
     A_hat = np.zeros((3 * n, 3 * n), dtype=ld)
@@ -509,15 +506,13 @@ def tracking_cost(
     control: ControlSignal | None = None,
     energy_weight: float = 0.0,
 ) -> float:
-    """Trapezoid quadrature of the moment metric d_M between trace and
-    reference, plus an optional quadratic control-energy term for
-    piecewise-constant controls."""
-    times = trace.times
-    if times.size != ref.time_grid.size or np.max(np.abs(times - ref.time_grid)) > 1e-9:
-        raise ValueError("trace and reference time grids must coincide")
+    """Trapezoid quadrature, over the trace's instants, of the moment metric
+    d_M between trace and reference, plus an optional quadratic
+    control-energy term for piecewise-constant controls."""
     if trace.basis != ref.basis:
         raise ValueError(f"trace basis {trace.basis} differs from reference basis {ref.basis}")
-    total = float(np.trapezoid(moment_metric_values(trace.values, ref.m_star), times))
+    values = moment_metric_values(trace.values, ref.value(trace.times))
+    total = float(np.trapezoid(values, trace.times))
     if control is not None and energy_weight != 0.0:
         seg = control.horizon / control.values.shape[0]
         total += energy_weight * float(np.sum(control.values**2) * seg)
@@ -544,11 +539,15 @@ def terminal_profile_guess(
     x0 = np.asarray(x0, dtype=float)
     target = np.asarray(target_profile, dtype=float)
     edges = np.linspace(0.0, horizon, n_intervals + 1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # an overflow is caught as a non-finite fit
         seg = (np.exp((horizon - edges[:-1]) * beta) - np.exp((horizon - edges[1:]) * beta)) / beta
-    seg[:, np.abs(beta) < 1e-12] = np.diff(edges, axis=0)
-    cols = seg.T[:, :, None] * beta[:, None, None] ** np.arange(model.n_inputs)
-    cols = cols.reshape(beta.size, -1)  # column s*p + i: beta^i * seg over interval s
-    resid = target - np.exp(horizon * beta) * x0
-    gram = cols.T @ cols + GUESS_RIDGE * np.eye(cols.shape[1])
-    return np.linalg.solve(gram, cols.T @ resid).reshape(n_intervals, model.n_inputs)
+        seg[:, np.abs(beta) < 1e-12] = np.diff(edges, axis=0)
+        cols = seg.T[:, :, None] * beta[:, None, None] ** np.arange(model.n_inputs)
+        cols = cols.reshape(beta.size, -1)  # column s*p + i: beta^i * seg over interval s
+        resid = target - np.exp(horizon * beta) * x0
+        gram = cols.T @ cols + GUESS_RIDGE * np.eye(cols.shape[1])
+        rhs = cols.T @ resid
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise SolverError("the terminal-profile guess is not finite: the members' closed-form "
+                          "responses overflow")
+    return np.linalg.solve(gram, rhs).reshape(n_intervals, model.n_inputs)

@@ -10,7 +10,7 @@ moments and their rates sum over the source atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -151,37 +151,36 @@ def circular_plan(mu0: EmpiricalMeasure, theta_target: float) -> DisplacementPla
 class MomentReference:
     """Reference moments m*(t) of a displacement path with time derivatives.
 
-    The unit transport stage is traversed over the span of ``time_grid``;
-    values are stored on that grid.  When the generating plan is attached,
-    :meth:`value` and :meth:`derivative` evaluate the closed-form expressions
-    at arbitrary instants, which integrators use at their own stage points.
-    Both accept a scalar or an array of instants; a longdouble array is
-    evaluated in longdouble.
+    The unit transport stage of ``plan`` is traversed over the span of
+    ``time_grid``.  :meth:`value` and :meth:`derivative` evaluate the
+    closed-form moments of order 0..``order`` in ``basis`` at arbitrary
+    instants, which integrators use at their own stage points; both accept a
+    scalar or an array of instants, and a longdouble array is evaluated in
+    longdouble.  ``m_star`` and ``dm_star`` are the two on ``time_grid``,
+    taken once at construction; a non-finite entry in either (order-q
+    powers of large atoms overflow) raises :class:`SolverError`.
     """
 
-    time_grid: np.ndarray
-    m_star: np.ndarray
-    dm_star: np.ndarray
+    plan: DisplacementPlan
     basis: str
-    plan: DisplacementPlan | None = None
+    order: int
+    time_grid: np.ndarray
+    m_star: np.ndarray = field(init=False, repr=False)
+    dm_star: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
+            raise ValueError(f"unknown basis {self.basis!r}")
         tg = np.asarray(self.time_grid, dtype=float)
         object.__setattr__(self, "time_grid", tg)
         if tg.size < 2 or tg[-1] <= tg[0]:
             raise ConfigError("reference time grid must span a positive duration")
-        if self.m_star.shape != self.dm_star.shape or self.m_star.shape[0] != tg.size:
-            raise ConfigError("reference arrays must align with the time grid")
-        if self.plan is not None:
-            # transport conserves mass, so the zeroth moment cannot drift;
-            # hand-assembled tables (e.g. free-flow references) are exempt
-            drift = np.abs(self.m_star[:, 0] - self.m_star[0, 0]).max()
-            if drift > 1e-9:
-                raise ConfigError(f"zeroth reference moment must stay constant (drift {drift:.2e})")
-
-    @property
-    def order(self) -> int:
-        return self.m_star.shape[1] - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, dm = self.value(tg), self.derivative(tg)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(dm))):
+            raise SolverError(f"order-{self.order} moments of the transport reference overflow")
+        object.__setattr__(self, "m_star", m)
+        object.__setattr__(self, "dm_star", dm)
 
     @property
     def span(self) -> float:
@@ -194,19 +193,11 @@ class MomentReference:
         return (t.astype(dtype) - dtype(self.time_grid[0])) / dtype(self.span)
 
     def value(self, t) -> np.ndarray:
-        if self.plan is None:
-            return self._interp(self.m_star, t)
         return _path_moments(self.plan, self.basis, self.order, self._stage(t))
 
     def derivative(self, t) -> np.ndarray:
-        if self.plan is None:
-            return self._interp(self.dm_star, t)
         rate = _path_moments(self.plan, self.basis, self.order, self._stage(t), rate=True)
         return rate / self.span
-
-    def _interp(self, table: np.ndarray, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.interp(t, self.time_grid, col) for col in table.T], axis=-1)
 
 
 def _path_moments(plan: DisplacementPlan, basis: str, q: int, s: np.ndarray,
@@ -257,25 +248,10 @@ def _path_coefficients(plan: DisplacementPlan, q: int, dtype=np.float64) -> np.n
 
 
 def ot_moment_reference(plan: DisplacementPlan, basis: str, q: int, time_grid=None) -> MomentReference:
-    """Sample the transport path's moments and rates on a time grid.
-
-    The unit transport stage is mapped affinely onto the grid's span.  Both
-    tables come from the closed forms of :func:`_path_moments`; the rate of
-    the zeroth moment is exactly zero.  A non-finite entry in either table
-    (order-q powers of large atoms overflow) raises :class:`SolverError`.
-    """
-    if basis not in (MONOMIAL_PARAM, MONOMIAL_OUTPUT, FOURIER):
-        raise ValueError(f"unknown basis {basis!r}")
+    """The reference of the transport path of ``plan`` over ``time_grid``
+    (default: 201 instants on [0, 1]); the unit transport stage is mapped
+    affinely onto the grid's span, and the rate of the zeroth moment is
+    exactly zero."""
     if time_grid is None:
         time_grid = np.linspace(0.0, 1.0, 201)
-    time_grid = np.asarray(time_grid, dtype=float)
-    span = time_grid[-1] - time_grid[0]
-    if span <= 0:
-        raise ConfigError("reference time grid must span a positive duration")
-    stages = (time_grid - time_grid[0]) / span
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _path_moments(plan, basis, q, stages)
-        dm = _path_moments(plan, basis, q, stages, rate=True) / span
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(dm))):
-        raise SolverError(f"order-{q} moments of the transport reference overflow")
-    return MomentReference(time_grid, m, dm, basis, plan)
+    return MomentReference(plan, basis, q, time_grid)

@@ -350,6 +350,22 @@ def test_track_exact_threshold_violation_exits_4(tmp_path, name):
                  id="initial.value=nan"),
     pytest.param("track", "labeled_fixed_endpoint.json", "horizon", 10**400, "horizon",
                  id="horizon=10**400"),
+    # a count that sizes arrays is at most MAX_COUNT, and so is a step count
+    *[pytest.param(command, name, key, 10**30, key, id=f"{key}=10**30")
+      for command, name, key in (("track", "labeled_exact.json", "grid.members"),
+                                 ("track", "labeled_exact.json", "model.inputs"),
+                                 ("track", "unlabeled_shooting.json", "solver.optimize_members"),
+                                 ("validate", "unlabeled_shooting.json", "samples"))],
+    *[pytest.param("track", name, key, value, f"dt={dt} divides the interval {interval} into "
+                   "more than 1152921504606846975 steps", id=f"{name[:-5]}.{key}={value}")
+      for name, key, value, dt, interval in (
+          ("labeled_exact.json", "horizon", 1e300, "0.001", "1e+300"),
+          ("labeled_exact.json", "dt", 1e-300, "1e-300", "1"),
+          ("unlabeled_shooting.json", "solver.optimize_dt", 1e-300, "1e-300", "0.02"),
+          ("kuramoto_sync.json", "solver.optimize_dt", 1e-300, "1e-300", "0.02"),
+          # the replay's step count, checked before the solve: at 1e-300 the
+          # replay would otherwise step about 2e298 times per interval
+          ("kuramoto_sync.json", "dt", 1e-300, "1e-300", "0.02"))],
     # every field is checked at load, including those only a later stage reads
     pytest.param("track", "labeled_exact.json", "thresholds.max_residual", "big",
                  "thresholds.max_residual", id="max_residual=big"),
@@ -678,6 +694,99 @@ def test_track_reference_moment_overflow_exits_3(tmp_path, capsys):
         code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
     assert code == 3
     assert "order-16 moments of the transport reference overflow" in capsys.readouterr().err
+
+
+def _shipped(name, **changes):
+    """A shipped scenario with the dotted fields of ``changes`` set."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
+    for key, value in changes.items():
+        *path, field = key.split(".")
+        section = spec
+        for part in path:
+            section = section[part]
+        section[field] = value
+    return spec
+
+
+@pytest.mark.parametrize("name, changes", [
+    # the Kuramoto stage record of 4e17 stages x 200 members
+    pytest.param("kuramoto_sync.json", {"solver.optimize_dt": 1e-17}, id="record"),
+    pytest.param("labeled_exact.json", {"grid.members": 2**60 - 1}, id="members"),
+])
+def test_track_numpy_size_refusal_exits_3(tmp_path, capsys, name, changes):
+    # NumPy refuses an array of 2^63 bytes or more with a ValueError, before
+    # it allocates anything: that is out of memory too
+    out = tmp_path / "refused"
+    code = main(["track", "--scenario", str(_write(tmp_path, _shipped(name, **changes))),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "solver failure: out of memory: array is too big" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_other_value_errors_still_escape_main(tmp_path, monkeypatch):
+    import momentsteer.cli as cli
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "cmd_track", broken)
+    path = _write(tmp_path, _linear_sim_scenario())
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        main(["track", "--scenario", str(path), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("name, changes, code, message", [
+    pytest.param("unlabeled_shooting.json", {"grid.hi": 1e8}, 3,
+                 "the terminal-profile guess is not finite", id="hi=1e8"),
+    pytest.param("unlabeled_shooting.json",
+                 {"horizon": 1e8, "dt": 2e5, "solver.optimize_dt": 2e5}, 3,
+                 "the terminal-profile guess is not finite", id="horizon=1e8"),
+    pytest.param("unlabeled_shooting.json", {"grid.lo": -1e300}, 3,
+                 "the terminal-profile guess is not finite", id="lo=-1e300"),
+    pytest.param("unlabeled_shooting.json", {"grid.lo": -1e300, "solver.initial_guess": "zero"},
+                 3, "initial control: non-finite state in the forward run at t=0.02",
+                 id="lo=-1e300-zero-guess"),
+    # R^-1 = 1e-300 leaves the matching matrix at ~1e-300: the refinement's
+    # corrections overflow, and the best pass is the first, lambda0 = 0
+    pytest.param("labeled_fixed_endpoint.json", {"solver.r_scale": 1e300}, 4,
+                 "threshold violation: boundary_residual", id="r_scale=1e300"),
+])
+def test_track_overflow_exits_without_runtime_warning(tmp_path, capsys, name, changes, code,
+                                                      message):
+    # pytest turns a RuntimeWarning into an error, so these runs must reach
+    # their exit through the package's own finiteness checks
+    spec = _shipped(name, **changes)
+    out = tmp_path / "overflow"
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    if code == 4:
+        summary = _strict_json(out / "summary.json")
+        assert summary["boundary_residual_end"] == pytest.approx(summary["final_residual"])
+
+
+@pytest.mark.parametrize("q, value, message", [
+    pytest.param(16, 1e20, "order-16 moments of the target overflow", id="q=16"),
+    # W2 to the target overflows first; it is caught as a non-finite value
+    pytest.param(2, 1e300, "order-2 moments of the target overflow", id="q=2"),
+])
+def test_validate_target_moment_overflow_exits_3(tmp_path, capsys, q, value, message):
+    # a standalone validate of a trajectory against a target whose moments
+    # overflow: track would have stopped at the reference
+    spec = _shipped("unlabeled_shooting.json", q=q,
+                    target={"kind": "point_mass", "value": value})
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "trajectory.csv").write_text(
+        "t," + ",".join(f"member_{j}" for j in range(2000)) + "\n1.0," + ",".join(["0.5"] * 2000)
+        + "\n")
+    out = tmp_path / "val"
+    code = main(["validate", "--scenario", str(_write(tmp_path, spec)), "--out", str(out),
+                 "--results", str(results)])
+    assert code == 3
+    assert f"solver failure: {message}" in capsys.readouterr().err
+    assert not (out / "validation.json").exists()
 
 
 def _kuramoto_scenario(**over):
