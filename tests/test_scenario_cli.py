@@ -33,6 +33,18 @@ def _linear_sim_scenario(**over):
     return base
 
 
+def _shipped(name, **changes):
+    """A shipped scenario with the dotted fields of ``changes`` set."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
+    for key, value in changes.items():
+        *path, field = key.split(".")
+        section = spec
+        for part in path:
+            section = section.setdefault(part, {})
+        section[field] = value
+    return spec
+
+
 def test_scenario_round_trip_identical_runs(tmp_path):
     path = _write(tmp_path, _linear_sim_scenario())
     scn = load_scenario(path)
@@ -399,16 +411,8 @@ def test_track_dt_not_dividing_interval_exits_2(tmp_path, capsys, command, name,
                                                 message):
     # also every scenario field: a bad value exits 2 naming the field,
     # before any work is done
-    from pathlib import Path
-
-    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-    *path, field = key.split(".")
-    section = spec
-    for part in path:
-        section = section.setdefault(part, {})
-    section[field] = value
     out = tmp_path / "bad_dt"
-    scenario = str(_write(tmp_path, spec))
+    scenario = str(_write(tmp_path, _shipped(name, **{key: value})))
     if command == "validate":  # a trajectory for validate to read
         main(["simulate", "--scenario", scenario, "--out", str(out)])
     code = main([command, "--scenario", scenario, "--out", str(out)])
@@ -694,18 +698,6 @@ def test_track_reference_moment_overflow_exits_3(tmp_path, capsys):
         code = main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)])
     assert code == 3
     assert "order-16 moments of the transport reference overflow" in capsys.readouterr().err
-
-
-def _shipped(name, **changes):
-    """A shipped scenario with the dotted fields of ``changes`` set."""
-    spec = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / name).read_text())
-    for key, value in changes.items():
-        *path, field = key.split(".")
-        section = spec
-        for part in path:
-            section = section[part]
-        section[field] = value
-    return spec
 
 
 @pytest.mark.parametrize("name, changes", [
