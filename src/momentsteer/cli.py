@@ -143,19 +143,27 @@ def _check_member_mass(x0, grid, ref, field: str = "grid.members") -> None:
 REPLAY_BLOWUP = 1e3
 
 
-def _replay(model, x0, grid, control: ControlSignal, dt: float):
+def _replay(model, x0, grid, control: ControlSignal, dt: float, points=None):
     """Replay ``control`` on the full ensemble at ``dt`` through the
     optimizer's forward run, on the control's own intervals.  Returns the
-    times and member rows of trajectory.csv, one per control-interval
-    boundary (the instants of the control plus T), and the largest member
-    magnitude over those rows.  For the linear family that is the largest
-    over every step: one RK4 step with a held drive is x -> R x + dt P d
-    with R = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0 for every real z, so a member
+    times and member rows of trajectory.csv, and the largest member
+    magnitude over every control-interval boundary (the instants of the
+    control plus T).  The rows are those boundaries, or with ``points`` every
+    s-th of them and the last, s = ceil(n / (points - 1)) for n intervals:
+    the instants of a ``points``-point plan grid when s divides n.  For the
+    linear family the maximum is the largest over every step: one RK4 step
+    with a held drive is x -> R x + dt P d with
+    R = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0 for every real z, so a member
     moves monotonically within an interval.  Kuramoto phases are wrapped to
     [0, 2 pi) after every step, so they cannot blow up."""
     rows = _simulate_segments_batch(model, x0, grid, control.values[None], control.horizon,
                                     dt)[0]
-    return control.time_grid, rows, float(abs(max(rows.max(), -rows.min())))  # no |rows| copy
+    row_max = float(abs(max(rows.max(), -rows.min())))  # no |rows| copy
+    times, n = control.time_grid, len(control.time_grid) - 1
+    if points is not None:
+        keep = np.append(np.arange(0, n, -(-n // (points - 1))), n)
+        times, rows = times[keep], rows[keep]
+    return times, rows, row_max
 
 
 def cmd_track(scn: Scenario, out: Path) -> int:
@@ -226,7 +234,9 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             initial_guess=guess,
         )
 
-    times, rows, replay_max = _replay(model, x0, grid, result.control, scn.dt)
+    # exact and tpbvp control every dt step; their rows are the plan's instants
+    points = None if method == "shooting" else scn.reference_points
+    times, rows, replay_max = _replay(model, x0, grid, result.control, scn.dt, points)
 
     _write_csv(
         out / "control.csv",

@@ -202,10 +202,55 @@ def test_trajectory_csv_round_trip_is_exact(tmp_path):
     final = _final_states_from_csv(out / "trajectory.csv")
     assert final.tobytes() == replay.states[-1].tobytes()
     assert np.ptp(np.log10(np.abs(final))) > 1  # values over more than a decade
-    # the exact solver's control grid is the dt grid: one row per RK4 step
+    # the exact solver's control grid is the dt grid; trajectory.csv keeps
+    # every 5th of its 1000 RK4 steps, the default 201 reference_points
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
-    assert rows.shape[0] == 1000 + 1
-    assert rows.tobytes() == np.column_stack([replay.times, replay.states]).tobytes()
+    assert rows.shape[0] == 200 + 1
+    assert rows.tobytes() == np.column_stack([replay.times[::5], replay.states[::5]]).tobytes()
+
+
+@pytest.mark.parametrize("points", [151, 2, "max_count", "default"])
+@pytest.mark.parametrize("method", ["exact", "tpbvp"])
+def test_exact_and_tpbvp_rows_follow_reference_points(tmp_path, method, points):
+    # exact and tpbvp control every dt step, and trajectory.csv keeps every
+    # s-th replay step and the last, s = ceil(n_steps / (reference_points - 1))
+    # in integers: at the largest count there is no grid to build and s = 1
+    from momentsteer.ensembles import MAX_COUNT
+
+    spec = _case_one_track_scenario(p=5, q=4, solver={"method": method})
+    if points != "default":
+        spec["reference_points"] = MAX_COUNT if points == "max_count" else points
+    path = _write(tmp_path, spec)
+    out = tmp_path / "rows"
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    steps = {151: [*range(0, 1000, 7), 1000], 2: [0, 1000], "max_count": list(range(1001)),
+             "default": list(range(0, 1001, 5))}[points]
+    assert len(steps) == {151: 144, 2: 2, "max_count": 1001, "default": 201}[points]
+    replay, _ = _replay_from_control_csv(path, out)
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == len(steps)
+    assert rows.tobytes() == np.column_stack([replay.times, replay.states])[steps].tobytes()
+    assert rows[-1, 1:].tobytes() == replay.states[-1].tobytes()
+    if points == "default":  # the instants of plan's reference.csv
+        assert main(["plan", "--scenario", str(path), "--out", str(tmp_path / "plan")]) == 0
+        ref = np.loadtxt(tmp_path / "plan" / "reference.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows[:, 0], ref[:, 0], rtol=0, atol=1e-15)
+
+
+def test_exact_replay_max_abs_state_reads_every_step(tmp_path):
+    # the exact control changes every step, so a member need not be monotone
+    # between written rows: here the largest |x| falls between two of them,
+    # and replay_max_abs_state is still the maximum over every dt step
+    spec = _case_one_track_scenario(p=3, q=2, grid={"members": 16, "lo": -1.0, "hi": 0.0},
+                                    initial={"kind": "constant", "value": 1.0})
+    path = _write(tmp_path, spec)
+    out = tmp_path / "max"
+    assert main(["track", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    replay, _ = _replay_from_control_csv(path, out)
+    assert summary["replay_max_abs_state"] == float(np.max(np.abs(replay.states)))
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert float(np.max(np.abs(rows[:, 1:]))) < summary["replay_max_abs_state"]
 
 
 def _small_shooting_scenario():
