@@ -127,43 +127,28 @@ def _check_thresholds(scn: Scenario, summary: dict) -> list:
 MEMBER_MASS_TOL = 1e-3
 
 
-def _check_member_mass(x0, grid, ref, field: str = "grid.members") -> None:
-    """Raise ConfigError naming ``field`` when the members' m_0 on ``grid``
-    is further than ``MEMBER_MASS_TOL`` relative from the reference's first
-    moment."""
+def _check_member_mass(scn: Scenario, x0, grid, ref, field: str = "grid.members") -> None:
+    """Raise ConfigError when the members' m_0 on ``grid`` is further than
+    ``MEMBER_MASS_TOL`` relative from the reference's first moment.  The
+    message names the scenario's grid bounds that differ from the initial
+    density's support, where the members read the density off its support,
+    and ``field`` otherwise."""
     mass, want = float(x0 @ grid.weights), float(ref.m_star[0, 0].real)
-    if not abs(mass - want) <= MEMBER_MASS_TOL * abs(want):
-        raise ConfigError(f"initial: the {grid.size} members carry mass {mass:.6g}, not the "
-                          f"density's {want:.6g}; {field} does not resolve the initial "
-                          "density")
+    if abs(mass - want) <= MEMBER_MASS_TOL * abs(want):
+        return
+    bounds = (scn.grid["lo"], scn.grid["hi"])
+    support = scn.resolve_measure(scn.initial, "initial").support
+    off = [f"grid.{key}" for key, b, a in zip(("lo", "hi"), bounds, support) if b != a]
+    cause = (f"{'/'.join(off)}: the grid [{bounds[0]:g}, {bounds[1]:g}] is not the initial "
+             f"density's support [{support[0]:g}, {support[1]:g}]" if off else
+             f"{field} does not resolve the initial density")
+    raise ConfigError(f"initial: the {grid.size} members carry mass {mass:.6g}, not the "
+                      f"density's {want:.6g}; {cause}")
 
 
 # a replay whose members grow past this multiple of the initial magnitude
 # (at least 1) is reported as a SolverWarning
 REPLAY_BLOWUP = 1e3
-
-
-def _replay(model, x0, grid, control: ControlSignal, dt: float, points=None):
-    """Replay ``control`` on the full ensemble at ``dt`` through the
-    optimizer's forward run, on the control's own intervals.  Returns the
-    times and member rows of trajectory.csv, and the largest member
-    magnitude over every control-interval boundary (the instants of the
-    control plus T).  The rows are those boundaries, or with ``points`` every
-    s-th of them and the last, s = ceil(n / (points - 1)) for n intervals:
-    the instants of a ``points``-point plan grid when s divides n.  For the
-    linear family the maximum is the largest over every step: one RK4 step
-    with a held drive is x -> R x + dt P d with
-    R = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0 for every real z, so a member
-    moves monotonically within an interval.  Kuramoto phases are wrapped to
-    [0, 2 pi) after every step, so they cannot blow up."""
-    rows = _simulate_segments_batch(model, x0, grid, control.values[None], control.horizon,
-                                    dt)[0]
-    row_max = float(abs(max(rows.max(), -rows.min())))  # no |rows| copy
-    times, n = control.time_grid, len(control.time_grid) - 1
-    if points is not None:
-        keep = np.append(np.arange(0, n, -(-n // (points - 1))), n)
-        times, rows = times[keep], rows[keep]
-    return times, rows, row_max
 
 
 def cmd_track(scn: Scenario, out: Path) -> int:
@@ -187,7 +172,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         n_steps = _steps_per_interval(scn.horizon, scn.dt)
         tgrid = np.linspace(0.0, scn.horizon, n_steps + 1)
         ref = scn.build_reference(grid, tgrid)
-        _check_member_mass(x0, grid, ref)
+        _check_member_mass(scn, x0, grid, ref)
         sys_ = build_linear_moment_system(scn.q, model.n_inputs)
         if method == "exact":
             result = exact_tracking_feedback(sys_, ref, ref.m_star[0].real, scn.dt)
@@ -212,9 +197,9 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         opt_x0 = scn.initial_state(opt_grid)
         ref = scn.build_reference(opt_grid, tgrid)
         if scn.basis == MONOMIAL_PARAM:
-            _check_member_mass(x0, grid, ref)  # the replayed members
+            _check_member_mass(scn, x0, grid, ref)  # the replayed members
             if scn.solver["optimize_members"] is not None:  # and the optimized ones
-                _check_member_mass(opt_x0, opt_grid, ref, "solver.optimize_members")
+                _check_member_mass(scn, opt_x0, opt_grid, ref, "solver.optimize_members")
         guess = None
         if scn.solver["initial_guess"] == "terminal_profile":
             if isinstance(model, Kuramoto):
@@ -234,21 +219,34 @@ def cmd_track(scn: Scenario, out: Path) -> int:
             initial_guess=guess,
         )
 
-    # exact and tpbvp control every dt step; their rows are the plan's instants
-    points = None if method == "shooting" else scn.reference_points
-    times, rows, replay_max = _replay(model, x0, grid, result.control, scn.dt, points)
+    # the replay: the full ensemble at dt through the optimizer's forward run,
+    # sampled at every boundary of the control's n intervals.  For the linear
+    # family its largest |x| is the largest over every step: one RK4 step
+    # with a held drive is x -> R x + dt P d with
+    # R = 1 + z + z^2/2 + z^3/6 + z^4/24 > 0 for every real z, so a member
+    # moves monotonically within an interval; Kuramoto phases are wrapped to
+    # [0, 2 pi) after every step, so they cannot blow up
+    control = result.control
+    states = _simulate_segments_batch(model, x0, grid, control.values[None], control.horizon,
+                                      scn.dt)[0]
+    replay_max = float(abs(max(states.max(), -states.min())))  # no |states| copy
+    # trajectory.csv keeps every s-th boundary and the last, s = ceil(n /
+    # (reference_points - 1)) in integers: plan's instants when s divides n
+    n = len(control.time_grid) - 1
+    keep = np.append(np.arange(0, n, -(-n // (scn.reference_points - 1))), n)
 
     _write_csv(
         out / "control.csv",
-        ["t"] + [f"u_{i}" for i in range(1, result.control.n_inputs + 1)],
-        np.column_stack([result.control.time_grid[:-1], result.control.values]),
+        ["t"] + [f"u_{i}" for i in range(1, control.n_inputs + 1)],
+        np.column_stack([control.time_grid[:-1], control.values]),
     )
     _write_csv(out / "moments.csv", ["t"] + _moment_header(scn.q, "m"),
                np.column_stack([result.times, _re_im(result.moments)]))
     _write_csv(out / "residual.csv", ["t", "residual"],
                np.column_stack([result.times, result.residuals]))
     header = ["t"] + [f"member_{j}" for j in range(grid.size)]
-    _write_csv(out / "trajectory.csv", header, np.column_stack([times, rows]))
+    _write_csv(out / "trajectory.csv", header,
+               np.column_stack([control.time_grid[keep], states[keep]]))
 
     # the moment-space residuals cannot see members that blow up in the replay
     start_max = max(1.0, float(np.max(np.abs(x0))))
@@ -266,14 +264,14 @@ def cmd_track(scn: Scenario, out: Path) -> int:
         "max_residual": float(np.max(result.residuals)),
         "final_residual": float(result.residuals[-1]),
         "converged": bool(result.converged),
-        "max_abs_control": float(np.max(np.abs(result.control.values))),
+        "max_abs_control": float(np.max(np.abs(control.values))),
         "replay_max_abs_state": replay_max,
         "runtime_s": time.monotonic() - t_start,
     }
     if method == "shooting":
-        # d_M of the replay's trajectory.csv rows, against the reference the
+        # d_M of the replay at every boundary, against the reference the
         # optimizer tracked; the residuals above are the optimizer's ensemble
-        replay = moment_metric_values(member_moments(rows, grid, scn.basis, scn.q),
+        replay = moment_metric_values(member_moments(states, grid, scn.basis, scn.q),
                                       ref.value(result.times))
         summary["replay_max_residual"] = float(np.max(replay))
         summary["replay_final_residual"] = float(replay[-1])
@@ -286,7 +284,7 @@ def cmd_track(scn: Scenario, out: Path) -> int:
     if "stop_reason" in result.info:
         summary["stop_reason"] = result.info["stop_reason"]
     if isinstance(model, Kuramoto):
-        r_final, _ = mean_field(rows[-1], grid)
+        r_final, _ = mean_field(states[-1], grid)
         summary["final_order_parameter"] = float(r_final)
     failures = _check_thresholds(scn, summary)
     summary["threshold_failures"] = failures

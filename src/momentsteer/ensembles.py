@@ -6,11 +6,14 @@ provided: a multi-input scalar linear family (rate parameter times state plus
 a polynomial-in-parameter input profile) and globally coupled Kuramoto phase
 oscillators actuated through ``u * sin(theta)``.  Every run, single or
 batched, replayed or recorded for the adjoint, goes through one forward
-function, :func:`_simulate_segments_batch`.  The linear family takes each
-control segment in closed form, as the exact transfer of its RK4 steps
-(:func:`_linear_transfer`); Kuramoto takes its RK4 steps stage by stage, and
-for the adjoint records each stage's cos x, sin x and mean-field sums, from
-which the reverse sweep (:func:`_rk4_adjoint`) runs with no trig.  The
+function, :func:`_simulate_segments_batch`, which forms each segment's input
+term once: u @ profile for the linear family, u_1 for Kuramoto.  The linear
+family takes each control segment in closed form, as the exact transfer of
+its RK4 steps (:func:`_linear_transfer`); Kuramoto takes its RK4 steps stage
+by stage through its field (:func:`_field`), and for the adjoint records each
+stage's cos x, sin x and mean-field sums, from which the reverse sweep
+(:func:`_rk4_adjoint`) runs with no trig.  :func:`rhs` writes the linear
+field directly.  The
 discrete adjoint of a forward run, from the cotangents of its boundary states
 to that of its control, is :func:`_segments_pullback`; it runs no forward
 pass of its own.
@@ -172,30 +175,17 @@ def _profile(model: LinearScalar, grid: ParameterGrid) -> np.ndarray:
     return grid.nodes[None, :] ** np.arange(model.n_inputs)[:, None]
 
 
-def _drive(model, grid: ParameterGrid):
-    """Input term of a control segment as a function of its control ``u``,
-    batched over leading axes: ``u @ profile`` with rows beta^(i-1) for the
-    linear family, the scalar u_1 for Kuramoto."""
-    if isinstance(model, LinearScalar):
-        profile = _profile(model, grid)
-        return lambda u: u @ profile
-    return lambda u: u[..., 0]
-
-
-def _field(model, grid: ParameterGrid, record=None):
-    """Right-hand side f(x, drive, out) of the model at one member vector
+def _field(model: Kuramoto, grid: ParameterGrid, record=None):
+    """Kuramoto's right-hand side f(x, drive, out) at one member vector
     ``x``, written into ``out``, which it returns.
 
-    Kuramoto is written in cos/sin form: with z = sum_j w_j e^{i x_j} =
+    It is written in cos/sin form: with z = sum_j w_j e^{i x_j} =
     zr + i zi and r = min(|z|, 1), K r sin(psi - x) equals
     k (zi cos x - zr sin x) with k = K / max(|z|, 1), so the clip is kept and
-    the coupling vanishes at z = 0.  A Kuramoto ``record`` of three blocks
+    the coupling vanishes at z = 0.  A ``record`` of three blocks
     ``(C, S, Z)`` keeps what :func:`_rk4_adjoint` reads: each call writes
     cos x, sin x and (zr, zi) into the next row of C, S and Z."""
-    nodes = grid.nodes
-    if isinstance(model, LinearScalar):
-        return lambda x, drive, out: np.add(nodes * x, drive, out=out)
-    K, w = model.coupling, grid.weights
+    nodes, K, w = grid.nodes, model.coupling, grid.weights
     scratch = np.empty(grid.size)
     kzi, dkzr = np.empty(()), np.empty(())  # 0-d operands: see _simulate_segments_batch
     # without a record, cos x, sin x and the sums go to one reused scratch row each
@@ -217,6 +207,11 @@ def _field(model, grid: ParameterGrid, record=None):
     return kuramoto
 
 
+# rows of powers R^j formed at a time in _linear_transfer, so that its memory
+# does not grow with the steps per segment
+POWER_BLOCK = 256
+
+
 def _linear_transfer(grid: ParameterGrid, per: int, dt: float):
     """Exact transfer of ``per`` RK4 steps of dx/dt = beta x + d with the
     drive d held: x -> Rp x + S d, member by member.
@@ -224,12 +219,19 @@ def _linear_transfer(grid: ParameterGrid, per: int, dt: float):
     With z = dt beta, one step of the four stages is exactly
     x -> R x + dt P d, where R = 1 + z + z^2/2 + z^3/6 + z^4/24 and
     P = 1 + z/2 + z^2/6 + z^3/24; so Rp = R^per and
-    S = dt P sum_{j<per} R^j."""
+    S = dt P sum_{j<per} R^j.  The powers R^0 .. R^per are formed
+    ``POWER_BLOCK`` rows at a time, and each block's rows are added in order
+    onto the running sum: the sum of one (per + 1)-row array, bit for bit."""
     z = dt * grid.nodes
     R = 1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))
     P = 1 + z * (1 / 2 + z * (1 / 6 + z / 24))
-    powers = R ** np.arange(per + 1)[:, None]  # R^0 .. R^per
-    return powers[-1], dt * P * powers[:-1].sum(axis=0)
+    total = np.zeros_like(R)
+    for start in range(0, per + 1, POWER_BLOCK):
+        powers = R ** np.arange(start, min(start + POWER_BLOCK, per + 1))[:, None]
+        total = np.add.reduce(np.vstack([total[None], powers[:per - start]]), axis=0)
+    # R^per from the same array power as the rest: R ** per squares at per = 2,
+    # which rounds unlike the power of an exponent array
+    return powers[-1], dt * P * total
 
 
 def _rk4_adjoint(model: Kuramoto, grid: ParameterGrid, record, drives, per: int, dt: float,
@@ -296,7 +298,9 @@ def rhs(model, x, grid: ParameterGrid, u) -> np.ndarray:
         raise ValueError("state length must equal grid size")
     if u.size != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} control values, got {u.size}")
-    return _field(model, grid)(x, _drive(model, grid)(u), np.empty_like(x))
+    if isinstance(model, LinearScalar):
+        return grid.nodes * x + u @ _profile(model, grid)
+    return _field(model, grid)(x, u[0], np.empty_like(x))
 
 
 # the largest count of 8-byte values that one NumPy array can hold (2^63
@@ -399,12 +403,13 @@ def _simulate_segments_batch(model, x0, grid, U, horizon, dt, *, record=None):
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), grid.nodes.shape)
     out = np.empty((B, n_int + 1, grid.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        drive_of = _drive(model, grid)
+        # the input term of each segment: u @ profile for the linear family,
+        # Kuramoto's u_1
+        drives = U @ _profile(model, grid) if isinstance(model, LinearScalar) else U[..., 0]
         for row in range(B):
             x = out[row, 0] = x0
-            drives = drive_of(U[row])
             for seg in range(n_int):
-                x = advance(x, drives[seg])
+                x = advance(x, drives[row, seg])
                 if not np.all(np.isfinite(x)):
                     t_bad = (seg + 1) * per * dt
                     raise SolverError(f"non-finite state in the forward run at t={t_bad:.6g}")

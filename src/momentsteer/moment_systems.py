@@ -66,14 +66,14 @@ def moment_rhs(sys: LinearMomentSystem, m, u) -> np.ndarray:
     return sys.L @ m + sys.H @ u
 
 
-def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64, hold=None, per=1):
+def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64, hold=None):
     """Classical RK4 for dz/dt = A z + f(t) + g, batched over leading axes.
 
     ``forcing_half`` samples f on the half-step grid, (..., 2*n_steps+1, n).
-    ``hold`` is an optional zero-order-hold term g, (..., n_segments, n), with
-    ``per`` steps per segment; all stages of a step use the step's segment.
-    ``z0`` is (..., n); leading axes of the three inputs broadcast, and the
-    trajectory comes back as (..., n_steps+1, n) in ``dtype``.
+    ``hold`` is an optional zero-order-hold term g per step, (..., n_steps, n);
+    all stages of a step use the step's hold.  ``z0`` is (..., n); leading
+    axes of the three inputs broadcast, and the trajectory comes back as
+    (..., n_steps+1, n) in ``dtype``.
 
     For a linear system one RK4 step of size h has the closed form
     z_{k+1} = Phi z_k + g_k with M = h A,
@@ -83,12 +83,10 @@ def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64, hold=None, per=1):
         C0   = h/6 (I + M + M^2/2 + M^3/4),
         Ch   = h/6 (4 I + 2 M + M^2/2),   C1 = h/6 I (applied as a scalar),
 
-    the same scheme as the stage-by-stage form up to rounding.  The matrices
-    are built once per call in ``dtype``; the increments g_k of a segment
-    come from batched products over its half-step forcing, and the loop is
-    one product and one add per step.  With ``hold`` the steps run segment
-    by segment, each segment's hold added to its forcing, so a call with
-    ``hold`` equals the segments run one at a time, bit for bit.
+    the same scheme as the stage-by-stage form up to rounding, with each
+    step's hold added to its three forcing samples.  The matrices are built
+    once per call in ``dtype``, the increments g_k of every step come from
+    one batched expression, and the loop is one product and one add per step.
     """
     f = np.asarray(forcing_half, dtype=dtype)
     n_steps = (f.shape[-2] - 1) // 2
@@ -100,20 +98,16 @@ def _rk4_affine(A, z0, forcing_half, dt, dtype=np.float64, hold=None, per=1):
     phi_t = (eye + M + M2 / 2 + M3 / 6 + M3 @ M / 24).T
     c0_t = (h / 6 * (eye + M + M2 / 2 + M3 / 4)).T
     ch_t = (h / 6 * (4 * eye + 2 * M + M2 / 2)).T
-    lead = [np.shape(z0)[:-1], f.shape[:-2]] + ([] if hold is None else [np.shape(hold)[:-2]])
+    f0, fh, f1 = f[..., :-1:2, :], f[..., 1::2, :], f[..., 2::2, :]
+    if hold is not None:
+        g = np.asarray(hold, dtype=dtype)
+        f0, fh, f1 = f0 + g, fh + g, f1 + g
+    lead = [np.shape(z0)[:-1], f0.shape[:-2]]
     out = np.empty(np.broadcast_shapes(*lead) + (n_steps + 1, M.shape[0]), dtype=dtype)
     out[..., 0, :] = z0
-    if hold is None:
-        per = max(n_steps, 1)
-    for s in range(0, n_steps, per):
-        e = min(s + per, n_steps)
-        fs = f[..., 2 * s: 2 * e + 1, :]
-        if hold is not None:
-            fs = fs + hold[..., s // per, None, :]
-        out[..., s + 1: e + 1, :] = (fs[..., :-1:2, :] @ c0_t + fs[..., 1::2, :] @ ch_t
-                                     + h / 6 * fs[..., 2::2, :])
-        for k in range(s, e):
-            out[..., k + 1, :] += out[..., k, :] @ phi_t
+    out[..., 1:, :] = f0 @ c0_t + fh @ ch_t + h / 6 * f1
+    for k in range(n_steps):
+        out[..., k + 1, :] += out[..., k, :] @ phi_t
     return out
 
 
@@ -122,7 +116,7 @@ def _rk4_linear_moments(L, H, m0, control: ControlSignal, dt: float) -> np.ndarr
     n_int = control.values.shape[0]
     per = _steps_per_interval(control.horizon / n_int, dt)
     free = np.zeros((2 * per * n_int + 1, L.shape[0]))
-    return _rk4_affine(L, m0, free, dt, hold=control.values @ H.T, per=per)
+    return _rk4_affine(L, m0, free, dt, hold=np.repeat(control.values @ H.T, per, axis=0))
 
 
 # orders integrated above q, so that truncation stays out of the consistency check

@@ -361,7 +361,7 @@ def tpbvp_optimality_gap(
     first = np.zeros((sys.p, n_steps, n))
     first[:, 0] = sys.H.T
     Y = _rk4_affine(sys.L, np.zeros(n), np.zeros((2 * n_steps + 1, n)), dt,
-                    hold=first, per=1)  # (p, n_steps+1, n)
+                    hold=first)  # (p, n_steps+1, n)
     E = Y[:, :0:-1].transpose(1, 0, 2).reshape(-1, n).T  # column k*p + i
     size = 2 * (n_steps + 1)  # zero padding: no delay wraps around
     spectrum = np.einsum("fj,ifj->if", np.fft.rfft(e, size, axis=0),

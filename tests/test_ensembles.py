@@ -165,6 +165,34 @@ def test_segment_batch_rows_match_simulate(model, lo):
         np.testing.assert_allclose(batch[b], traj.states[::per], rtol=1e-13, atol=1e-15)
 
 
+def test_linear_transfer_sums_in_blocks_in_bounded_memory():
+    # the transfer sums R^0 .. R^(per-1) a block of rows at a time; the
+    # one-array formula it replaced is the oracle, bit for bit.  Rates up to
+    # 3 at dt 0.01 make R ** 2 (a square) round unlike the array power
+    import tracemalloc
+
+    from momentsteer.ensembles import _linear_transfer
+
+    g = make_uniform_grid(64, -3.0, 3.0)
+    for per in (1, 2, 3, 10, 1000):
+        z = 0.01 * g.nodes
+        R = 1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))
+        P = 1 + z * (1 / 2 + z * (1 / 6 + z / 24))
+        powers = R ** np.arange(per + 1)[:, None]
+        Rp, S = _linear_transfer(g, per, 0.01)
+        assert Rp.tobytes() == powers[-1].tobytes()
+        assert S.tobytes() == (0.01 * P * powers[:-1].sum(axis=0)).tobytes()
+    # one array of the powers would take 200001 x 64 x 8 B = 102 MB
+    per = 200_000
+    tracemalloc.start()
+    try:
+        _linear_transfer(make_uniform_grid(64, 0.0, 1.0), per, 1.0 / per)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_simulate_reports_blowup_time():
     g = make_uniform_grid(4, 150.0, 250.0)
     with pytest.raises(SolverError, match="t="):

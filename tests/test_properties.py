@@ -248,7 +248,7 @@ def test_linear_pullback_is_the_adjoint_of_the_forward_map(members, inputs, n_in
     assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(seeds * forward))
 
 
-def _stage_rk4(A, z0, forcing_half, dt, dtype, hold, per):
+def _stage_rk4(A, z0, forcing_half, dt, dtype, hold):
     """The LTI RK4 kernel stage by stage: k1..k4 from the step's forcing
     samples at t, t + h/2 and t + h, each plus the step's hold."""
     At = np.asarray(A, dtype=dtype).T
@@ -261,7 +261,7 @@ def _stage_rk4(A, z0, forcing_half, dt, dtype, hold, per):
     for i in range(n_steps):
         f0, fm, f1 = f[..., 2 * i, :], f[..., 2 * i + 1, :], f[..., 2 * i + 2, :]
         if hold is not None:
-            g = np.asarray(hold, dtype=dtype)[..., i // per, :]
+            g = np.asarray(hold, dtype=dtype)[..., i, :]
             f0, fm, f1 = f0 + g, fm + g, f1 + g
         k1 = z @ At + f0
         k2 = (z + h / 2 * k1) @ At + fm
@@ -287,9 +287,10 @@ def test_closed_form_affine_kernel_matches_stage_by_stage(n, n_seg, per, z_lead,
     dt = rng.uniform(1e-3, 0.5)
     z0 = rng.standard_normal(z_lead + (n,))
     forcing = rng.standard_normal(f_lead + (2 * per * n_seg + 1, n))
-    hold = None if hold_lead is None else rng.standard_normal(hold_lead + (n_seg, n))
-    got = _rk4_affine(A, z0, forcing, dt, dtype, hold, per)
-    want = _stage_rk4(A, z0, forcing, dt, dtype, hold, per)
+    hold = None if hold_lead is None else np.repeat(
+        rng.standard_normal(hold_lead + (n_seg, n)), per, axis=-2)  # held for per steps
+    got = _rk4_affine(A, z0, forcing, dt, dtype, hold)
+    want = _stage_rk4(A, z0, forcing, dt, dtype, hold)
     assert got.dtype == np.dtype(dtype) and got.shape == want.shape
     # the two forms differ by rounding only; 1e3 ulps of the largest state
     np.testing.assert_allclose(got, want, rtol=0,

@@ -285,6 +285,30 @@ def test_shooting_trajectory_csv_on_control_grid(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["linear", "kuramoto"])
+def test_shooting_rows_follow_reference_points(tmp_path, kind):
+    # one row rule for every method: 20 intervals and 6 reference_points give
+    # s = 4, rows at boundaries 0, 4, ..., 20; the replay keys still read
+    # every boundary, so they equal those of the run at the default points
+    solver = {"method": "shooting", "intervals": 20, "iterations": 3}
+    spec = (_linear_sim_scenario(dt=0.01, solver=solver) if kind == "linear" else
+            _kuramoto_scenario(solver=solver))
+    runs = []
+    for points in (201, 6):
+        spec["reference_points"] = points
+        out = tmp_path / f"points{points}"
+        assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 0
+        runs.append((json.loads((out / "summary.json").read_text()),
+                     np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)))
+    (full, every), (thin, rows) = runs
+    assert every.shape[0] == 21 and rows.shape[0] == 6
+    assert rows.tobytes() == every[::4].tobytes()
+    assert rows[-1].tobytes() == every[-1].tobytes()
+    keys = ["replay_max_abs_state", "replay_max_residual", "replay_final_residual"]
+    for key in keys + (["final_order_parameter"] if kind == "kuramoto" else []):
+        assert thin[key] == full[key], key
+
+
+@pytest.mark.parametrize("kind", ["linear", "kuramoto"])
 def test_replay_max_abs_state_is_the_row_maximum(tmp_path, kind):
     # replay_max_abs_state is the largest |x| over the rows of trajectory.csv.
     # A linear member moves monotonically within an interval (one RK4 step is
@@ -566,6 +590,22 @@ def test_track_labeled_members_must_resolve_initial_density(tmp_path, capsys, si
     err = capsys.readouterr().err
     assert f"configuration error: initial: the 200 members carry mass {mass}," in err
     assert "grid.members" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("bound, value, mass", [("hi", 1.2, "0.834243"), ("lo", 0.2, "1.2291")])
+def test_track_labeled_mass_check_names_grid_bounds_off_the_support(tmp_path, capsys, bound,
+                                                                    value, mass):
+    # members off the initial density's support [0, 1] read its edge value
+    # (np.interp clamps), so more members cannot mend the mass: the message
+    # names the grid bound that differs from the support
+    spec = _shipped("labeled_exact.json", **{"grid.members": 64, f"grid.{bound}": value})
+    out = tmp_path / bound
+    assert main(["track", "--scenario", str(_write(tmp_path, spec)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: initial: the 64 members carry mass {mass}," in err
+    assert f"grid.{bound}: the grid [" in err and "initial density's support [0, 1]" in err
+    assert "grid.members" not in err
     assert not (out / "summary.json").exists()
 
 

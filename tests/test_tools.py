@@ -111,3 +111,11 @@ docstring"""
 ''')
     # import, class, def, return and the two lines of TABLE
     assert code_lines.code_lines(path) == 6
+
+
+def test_code_lines_without_files_counts_the_package(capsys):
+    assert code_lines.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    modules = sorted((ROOT / "src" / "momentsteer").glob("*.py"))
+    assert len(lines) == len(modules) + 1 and lines[-1].endswith("total")
+    assert int(lines[-1].split()[0]) == sum(code_lines.code_lines(m) for m in modules)

@@ -440,7 +440,7 @@ def _optimality_gap_oracle(sys_, ref, setup, result, n_variations=10, seed=0, ch
 
     def runs(holds):
         """Cost and endpoint response of every (batch, step, channel) hold."""
-        resp = _rk4_affine(sys_.L, np.zeros(n), free, dt, hold=holds @ sys_.H.T, per=1)
+        resp = _rk4_affine(sys_.L, np.zeros(n), free, dt, hold=holds @ sys_.H.T)
         e = result.moments + resp - m_ref
         track = np.trapezoid(np.einsum("bij,bij->bi", e, e), dx=dt, axis=1)
         lo, hi = u_nom[:-1] + holds, u_nom[1:] + holds  # the hold at both ends of its step

@@ -1,7 +1,8 @@
 """Count the code lines of Python modules.
 
-    python3 tools/code_lines.py FILE [FILE ...]
+    python3 tools/code_lines.py [FILE ...]
 
+With no FILE it counts the package's modules, ``src/momentsteer/*.py``.
 A line counts when it holds a token that is neither a comment nor part of a
 docstring (the string that opens a module, class or function body); blank
 lines, comment lines and docstring lines do not count.  A token that spans
@@ -16,6 +17,8 @@ import ast
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "momentsteer"
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
@@ -45,9 +48,7 @@ def code_lines(path: Path) -> int:
 
 def main(argv=None) -> int:
     paths = [Path(p) for p in (sys.argv[1:] if argv is None else argv)]
-    if not paths:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
+    paths = paths or sorted(PACKAGE.glob("*.py"))
     total = 0
     for path in paths:
         n = code_lines(path)
